@@ -28,9 +28,9 @@ module Prof = Mdcc_obs.Prof
 
 type measurement = { wall_s : float; runs_per_s : float; events_per_s : float }
 
-let measure ~jobs ?chunk specs =
+let measure ~jobs specs =
   let t0 = Unix.gettimeofday () in
-  let reports = Sweep.run ~jobs ?chunk specs in
+  let reports = Sweep.run ~jobs specs in
   let wall_s = Unix.gettimeofday () -. t0 in
   let events = List.fold_left (fun acc r -> acc + r.Runner.r_events) 0 reports in
   let n = List.length reports in
@@ -82,9 +82,9 @@ let doc ~seeds ~scenarios ~runs ~jobs ~cores ~seq ~par ~speedup =
    the measured legs above stay un-instrumented, and the profile rides
    its own file (wall-clock numbers are nondeterministic, so they must
    never share a channel with byte-pinned outputs). *)
-let profile_side ~jobs ?chunk specs =
+let profile_side ~jobs specs =
   let t0 = Unix.gettimeofday () in
-  let _reports, snapshot = Sweep.run_profiled ~jobs ?chunk specs in
+  let _reports, snapshot = Sweep.run_profiled ~jobs specs in
   let wall_s = Unix.gettimeofday () -. t0 in
   (wall_s, snapshot)
 
@@ -182,7 +182,7 @@ let check_baseline ~path ~tolerance ~absolute ~speedup ~speedup_meaningful ~par 
       | Some _ | None ->
         Printf.eprintf "bench-sweep: baseline %s has no parallel.runs_per_s field\n" path
 
-let bench ~seeds ~jobs ~chunk ~out ~check ~tolerance ~min_speedup ~absolute ~profile =
+let bench ~seeds ~jobs ~out ~check ~tolerance ~min_speedup ~absolute ~profile =
   let scenarios = Nemesis.matrix in
   let specs = Sweep.specs ~seeds ~scenarios () in
   let runs = List.length specs in
@@ -197,7 +197,7 @@ let bench ~seeds ~jobs ~chunk ~out ~check ~tolerance ~min_speedup ~absolute ~pro
   let seq_reports, seq = measure ~jobs:1 specs in
   Printf.printf "  sequential: %6.2f s  %7.1f runs/s  %9.0f events/s\n%!" seq.wall_s
     seq.runs_per_s seq.events_per_s;
-  let par_reports, par = measure ~jobs ?chunk specs in
+  let par_reports, par = measure ~jobs specs in
   Printf.printf "  jobs=%-4d   %6.2f s  %7.1f runs/s  %9.0f events/s\n%!" jobs par.wall_s
     par.runs_per_s par.events_per_s;
   if not (String.equal (render seq_reports) (render par_reports)) then begin
@@ -225,7 +225,7 @@ let bench ~seeds ~jobs ~chunk ~out ~check ~tolerance ~min_speedup ~absolute ~pro
       Printf.printf "  profiling sequential leg...\n%!";
       let seq_side = profile_side ~jobs:1 specs in
       Printf.printf "  profiling jobs=%d leg...\n%!" jobs;
-      let par_side = profile_side ~jobs ?chunk specs in
+      let par_side = profile_side ~jobs specs in
       let oc = open_out path in
       output_string oc
         (Json.to_string
@@ -262,15 +262,6 @@ let jobs_arg =
     value
     & opt int (Mdcc_util.Pool.default_jobs ())
     & info [ "jobs" ] ~docv:"N" ~doc:"Worker domains for the parallel leg.")
-
-let chunk_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:
-          "Specs claimed per work-stealing cursor bump in the parallel leg (default: about \
-           eight claims per domain).  Output is byte-identical for every value.")
 
 let out_arg =
   Arg.(
@@ -316,14 +307,14 @@ let profile_arg =
 
 let () =
   let doc = "wall-clock benchmark and regression guard for the parallel chaos sweep" in
-  let run seeds jobs chunk out check tolerance min_speedup absolute profile =
-    bench ~seeds ~jobs ~chunk ~out ~check ~tolerance ~min_speedup ~absolute ~profile
+  let run seeds jobs out check tolerance min_speedup absolute profile =
+    bench ~seeds ~jobs ~out ~check ~tolerance ~min_speedup ~absolute ~profile
   in
   let cmd =
     Cmd.v
       (Cmd.info "bench-sweep" ~doc)
       Term.(
-        const run $ seeds_arg $ jobs_arg $ chunk_arg $ out_arg $ check_arg $ tolerance_arg
+        const run $ seeds_arg $ jobs_arg $ out_arg $ check_arg $ tolerance_arg
         $ min_speedup_arg $ absolute_flag $ profile_arg)
   in
   exit (Cmd.eval cmd)

@@ -54,7 +54,7 @@ let write_profile path ~jobs snapshot =
   close_out oc
 
 let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~trace
-    ~obs_out ~jobs ~chunk ~profile =
+    ~obs_out ~jobs ~profile =
   let scenarios =
     match scenario with
     | None -> Nemesis.matrix
@@ -87,9 +87,9 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
   in
   let all =
     match profile with
-    | None -> Sweep.run ~jobs ?chunk specs
+    | None -> Sweep.run ~jobs specs
     | Some path ->
-      let reports, snapshot = Sweep.run_profiled ~jobs ?chunk specs in
+      let reports, snapshot = Sweep.run_profiled ~jobs specs in
       write_profile path ~jobs snapshot;
       reports
   in
@@ -198,15 +198,6 @@ let jobs_arg =
           "Worker domains for the sweep (default: cores - 1, at least 1).  Reports are \
            merged in seed order, so output is byte-identical to $(b,--jobs 1).")
 
-let chunk_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:
-          "Runs claimed per work-stealing cursor bump (default: about eight claims per \
-           domain).  Purely a scheduling knob — output is byte-identical for every value.")
-
 let obs_out_arg =
   Arg.(
     value
@@ -229,16 +220,16 @@ let profile_arg =
 let sweep_cmd =
   let doc = "Sweep seeds across the scenario matrix and check every history." in
   let run seeds scenario workload txns items partitions plant_bug json trace obs_out jobs
-      chunk profile =
+      profile =
     sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~trace
-      ~obs_out ~jobs ~chunk ~profile
+      ~obs_out ~jobs ~profile
   in
   Cmd.v
     (Cmd.info "sweep" ~doc)
     Term.(
       const run $ seeds_arg $ scenario_opt $ workload_arg $ txns_arg $ items_arg
       $ partitions_arg $ plant_bug_arg $ json_flag $ trace_flag $ obs_out_arg $ jobs_arg
-      $ chunk_arg $ profile_arg)
+      $ profile_arg)
 
 let replay_cmd =
   let doc = "Re-run a single (seed, scenario) pair, verbosely." in

@@ -119,7 +119,8 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
       (History.Submitted { time = Engine.now engine; coordinator = dc; txn });
     h.Harness.submit ~dc txn (fun outcome ->
         History.record history
-          (History.Decided { time = Engine.now engine; txid = txn.Txn.id; outcome });
+          (History.Decided
+             { time = Engine.now engine; txid = txn.Txn.id; outcome; fast = false });
         decided := (txn, outcome) :: !decided)
   in
   h.Harness.load (List.init items (fun i -> (item i, item_row stock)));

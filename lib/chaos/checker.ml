@@ -39,7 +39,9 @@ let gather history =
       | History.Voided { node; txid; key; _ } ->
         let i = get txid in
         i.voided <- (node, key) :: i.voided
-      | History.Fault _ -> ())
+      | History.Fault _ | History.Proposed _ | History.Voted _ | History.Learned _
+      | History.Collision _ | History.Redirected _ | History.Recovery _ | History.Repair _
+      | History.Divergence _ | History.Read _ -> ())
     (History.events history);
   tbl
 

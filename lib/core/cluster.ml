@@ -131,15 +131,9 @@ let create ~engine ~spec ?(ctx = Ctx.default ()) ~config ~schema () =
           Store.read (Storage_node.store nodes.((dc * partitions) + p)) key);
       snap_scan =
         (fun ~table ->
-          let rows = ref [] in
-          for p = partitions - 1 downto 0 do
-            Store.iter
-              (Storage_node.store nodes.((dc * partitions) + p))
-              (fun key row ->
-                if row.Store.exists && String.equal key.Key.table table then
-                  rows := (key, row.Store.value, row.Store.version) :: !rows)
-          done;
-          !rows);
+          List.concat_map
+            (fun p -> Store.live_rows (Storage_node.store nodes.((dc * partitions) + p)) ~table)
+            (List.init partitions Fun.id));
     }
   in
   let coords =

@@ -26,15 +26,6 @@ type txn_state = {
   mutable timeout : Runtime.timer option;
 }
 
-type stats = {
-  mutable fast_commits : int;
-  mutable assisted_commits : int;
-  mutable aborts : int;
-  mutable collisions : int;
-  mutable redirects : int;
-  mutable timeout_recoveries : int;
-}
-
 type read_state = {
   r_key : Key.t;
   r_need : int;
@@ -70,14 +61,12 @@ type t = {
   reads : (int, read_state) Hashtbl.t;
   scans : (int, scan_state) Hashtbl.t;
   mutable next_rid : int;
-  stats : stats;
   rng : Rng.t;
-  history : History.t option;  (* chaos-testing execution recorder *)
   obs : Obs.t;
-  trace_tag : string;  (* "app<id>", rendered once — not per trace point *)
+  sink : History.sink;
 }
 
-let record t ev = match t.history with Some h -> History.record h ev | None -> ()
+let emit t ev = History.emit t.sink ev
 
 (* How long a collision keeps steering this coordinator to the master before
    it probes fast ballots again (client-side half of the γ policy). *)
@@ -88,16 +77,6 @@ let node_id t = t.id
 let now t = Runtime.now t.runtime
 
 let send t dst payload = Runtime.send t.runtime ~src:t.id ~dst payload
-
-let trace t fmt = Runtime.trace t.runtime ~tag:t.trace_tag fmt
-
-(* Guard for trace points whose arguments allocate (key renderings,
-   pretty-printed outcomes): [trace] itself skips formatting when nobody
-   listens, but argument evaluation happens at the call site. *)
-let tracing t = Runtime.tracing t.runtime
-
-let span t ~txid ~name ?key ~detail () =
-  Obs.span_event t.obs ~txid ~at:(now t) ~node:t.id ~name ?key ~detail ()
 
 let n t = t.config.Config.replication
 
@@ -142,17 +121,17 @@ let send_all t pairs =
 
 let propose_payloads t (ks : key_state) =
   let w = ks.woption in
-  let key_str = Key.to_string w.Woption.key in
-  if route_classic t w.Woption.key then begin
+  let txid = w.Woption.txid and key = w.Woption.key in
+  if route_classic t key then begin
     ks.redirected <- true;
-    span t ~txid:w.Woption.txid ~name:"propose" ~key:key_str ~detail:"classic" ();
-    [ (t.master_of w.Woption.key, Messages.Propose { woption = w; route = `Classic }) ]
+    emit t (History.Proposed { txid; key; route = `Classic });
+    [ (t.master_of key, Messages.Propose { woption = w; route = `Classic }) ]
   end
   else begin
-    span t ~txid:w.Woption.txid ~name:"propose" ~key:key_str ~detail:"fast" ();
+    emit t (History.Proposed { txid; key; route = `Fast });
     List.map
       (fun replica -> (replica, Messages.Propose { woption = w; route = `Fast }))
-      (t.replicas w.Woption.key)
+      (t.replicas key)
   end
 
 let decide t (ts : txn_state) =
@@ -171,31 +150,14 @@ let decide t (ts : txn_state) =
       Txn.Aborted Txn.Constraint_violation
     else Txn.Aborted Txn.Conflict
   in
-  (match outcome with
-  | Txn.Committed ->
-    let pure_fast =
-      Key.Map.for_all
-        (fun _ ks -> not (ks.collided || ks.redirected || ks.attempts > 0))
-        ts.keys
-    in
-    if pure_fast && t.config.Config.mode <> Config.Multi then begin
-      t.stats.fast_commits <- t.stats.fast_commits + 1;
-      Obs.incr t.obs "fast_commit"
-    end
-    else begin
-      t.stats.assisted_commits <- t.stats.assisted_commits + 1;
-      Obs.incr t.obs "assisted_commit"
-    end
-  | Txn.Aborted Txn.Constraint_violation ->
-    t.stats.aborts <- t.stats.aborts + 1;
-    Obs.incr t.obs "abort_constraint"
-  | Txn.Aborted _ ->
-    t.stats.aborts <- t.stats.aborts + 1;
-    Obs.incr t.obs "abort_conflict");
-  let outcome_str = Format.asprintf "%a" Txn.pp_outcome outcome in
-  span t ~txid:ts.txn.Txn.id ~name:"decide" ~detail:outcome_str ();
-  trace t "decide %s %s" ts.txn.Txn.id outcome_str;
-  record t (History.Decided { time = now t; txid = ts.txn.Txn.id; outcome });
+  let fast =
+    committed
+    && t.config.Config.mode <> Config.Multi
+    && Key.Map.for_all
+         (fun _ ks -> not (ks.collided || ks.redirected || ks.attempts > 0))
+         ts.keys
+  in
+  emit t (History.Decided { time = now t; txid = ts.txn.Txn.id; outcome; fast });
   (* Asynchronous Learned/Visibility notification: execute or void every
      option; correctness does not depend on its timing (§3.2.1). *)
   let pairs =
@@ -219,21 +181,17 @@ let learn t (ts : txn_state) (ks : key_state) decision =
   | None ->
     ks.learned <- Some decision;
     ts.undecided <- ts.undecided - 1;
-    let key_str = Key.to_string ks.woption.Woption.key in
-    span t ~txid:ts.txn.Txn.id ~name:"learn" ~key:key_str
-      ~detail:(match decision with Woption.Accepted -> "accepted" | Woption.Rejected -> "rejected")
-      ();
+    let txid = ts.txn.Txn.id and key = ks.woption.Woption.key in
+    emit t (History.Learned { txid; key; decision; by = `Coordinator });
     (match ks.collided_at with
     | Some at ->
       (* The collision on this key has now been resolved (either way). *)
       ks.collided_at <- None;
-      Obs.incr t.obs "collision_resolved";
-      Obs.observe t.obs "collision_resolve_ms" (now t -. at);
-      span t ~txid:ts.txn.Txn.id ~name:"collision_resolved" ~key:key_str ~detail:"" ()
+      emit t (History.Collision { txid; key; stage = `Resolved (now t -. at) })
     | None -> ());
     if ts.undecided = 0 then decide t ts
 
-let start_recovery_for t (ks : key_state) =
+let start_recovery_for t (ks : key_state) ~timeout =
   let w = ks.woption in
   let key = w.Woption.key in
   set_hint t key;
@@ -249,23 +207,22 @@ let start_recovery_for t (ks : key_state) =
     end
   in
   ks.attempts <- ks.attempts + 1;
-  if tracing t then
-    trace t "start_recovery %s %s via node %d" w.Woption.txid (Key.to_string key) target;
-  span t ~txid:w.Woption.txid ~name:"start_recovery" ~key:(Key.to_string key)
-    ~detail:(Printf.sprintf "via node %d" target)
-    ();
+  emit t (History.Recovery (Escalated { txid = w.Woption.txid; key; via = target; timeout }));
   (* Timeout-driven recoveries run outside any delivery, so re-establish the
      causal context explicitly for the recovery cascade. *)
   Net.with_trace_context (Some w.Woption.txid) (fun () ->
       send t target (Messages.Start_recovery { key; woption = Some w }))
 
-let on_vote t txid key acceptor decision =
+(* Run [f] on the state of an in-flight transaction's option on [key];
+   replies about transactions already decided (or keys never proposed) are
+   dropped. *)
+let with_option t txid key f =
   match Hashtbl.find_opt t.txns txid with
+  | Some ts -> Option.iter (f ts) (Key.Map.find_opt key ts.keys)
   | None -> ()
-  | Some ts -> (
-    match Key.Map.find_opt key ts.keys with
-    | None -> ()
-    | Some ks ->
+
+let on_vote t txid key acceptor decision =
+  with_option t txid key (fun ts ks ->
       if ks.learned = None && not (List.mem_assoc acceptor ks.votes) then begin
         ks.votes <- (acceptor, decision) :: ks.votes;
         let acks =
@@ -281,38 +238,20 @@ let on_vote t txid key acceptor decision =
           (* Fast Paxos collision: no outcome can reach a fast quorum. *)
           ks.collided <- true;
           ks.collided_at <- Some (now t);
-          t.stats.collisions <- t.stats.collisions + 1;
-          Obs.incr t.obs "collision";
-          span t ~txid ~name:"collision" ~key:(Key.to_string key)
-            ~detail:(Printf.sprintf "acks=%d rejects=%d" acks rejects)
-            ();
-          start_recovery_for t ks
+          emit t (History.Collision { txid; key; stage = `Detected (acks, rejects) });
+          start_recovery_for t ks ~timeout:false
         end
       end)
 
 let on_learned t txid key decision =
-  match Hashtbl.find_opt t.txns txid with
-  | None -> ()
-  | Some ts -> (
-    match Key.Map.find_opt key ts.keys with
-    | None -> ()
-    | Some ks -> learn t ts ks decision)
+  with_option t txid key (fun ts ks -> learn t ts ks decision)
 
 let on_redirect t txid key master =
-  match Hashtbl.find_opt t.txns txid with
-  | None -> ()
-  | Some ts -> (
-    match Key.Map.find_opt key ts.keys with
-    | None -> ()
-    | Some ks ->
+  with_option t txid key (fun _ ks ->
       set_hint t key;
       if ks.learned = None && not ks.redirected then begin
         ks.redirected <- true;
-        t.stats.redirects <- t.stats.redirects + 1;
-        Obs.incr t.obs "redirect";
-        span t ~txid ~name:"redirect" ~key:(Key.to_string key)
-          ~detail:(Printf.sprintf "to master %d" master)
-          ();
+        emit t (History.Redirected { txid; key; master });
         send t master (Messages.Propose { woption = ks.woption; route = `Classic })
       end)
 
@@ -324,11 +263,7 @@ let rec arm_timeout t (ts : txn_state) =
            if Hashtbl.mem t.txns ts.txn.Txn.id then begin
              Key.Map.iter
                (fun _ ks ->
-                 if ks.learned = None then begin
-                   t.stats.timeout_recoveries <- t.stats.timeout_recoveries + 1;
-                   Obs.incr t.obs "timeout_recovery";
-                   start_recovery_for t ks
-                 end)
+                 if ks.learned = None then start_recovery_for t ks ~timeout:true)
                ts.keys;
              arm_timeout t ts
            end))
@@ -349,12 +284,7 @@ let submit t txn callback =
     in
     let ts = { txn; callback; keys; undecided = Key.Map.cardinal keys; timeout = None } in
     Hashtbl.replace t.txns txn.Txn.id ts;
-    record t (History.Submitted { time = now t; coordinator = t.id; txn });
-    Obs.incr t.obs "txn_submitted";
-    Obs.begin_txn t.obs ~txid:txn.Txn.id ~at:(now t);
-    span t ~txid:txn.Txn.id ~name:"submit"
-      ~detail:(Printf.sprintf "%d keys" (Key.Map.cardinal keys))
-      ();
+    emit t (History.Submitted { time = now t; coordinator = t.id; txn });
     (* Establish the causal trace context: every Propose (and every message
        it triggers in turn) is attributed to this transaction's span. *)
     Net.with_trace_context (Some txn.Txn.id) (fun () ->
@@ -383,12 +313,12 @@ let new_read t key ~need cb =
   rid
 
 let read_local t key cb =
-  Obs.incr t.obs "read_local";
+  emit t (History.Read `Local);
   let rid = new_read t key ~need:1 cb in
   send t (local_replica t key) (Messages.Read_request { rid; key })
 
 let read_majority t key cb =
-  Obs.incr t.obs "read_majority";
+  emit t (History.Read `Majority);
   let rid = new_read t key ~need:(Config.classic_quorum t.config) cb in
   List.iter (fun r -> send t r (Messages.Read_request { rid; key })) (t.replicas key)
 
@@ -400,10 +330,10 @@ let read_majority t key cb =
 let read_snapshot t key cb =
   match t.snapshot with
   | Some s ->
-    Obs.incr t.obs "snapshot_fast_path";
+    emit t (History.Read `Snapshot);
     Runtime.spawn t.runtime (fun () -> cb (s.snap_read key))
   | None ->
-    Obs.incr t.obs "snapshot_fallback";
+    emit t (History.Read `Snapshot_fallback);
     read_local t key cb
 
 let read ?(level = `Local) t key cb =
@@ -435,22 +365,6 @@ let on_read_reply t rid acceptor value version exists =
       end
     end
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
-let order_rows ?order_by ~limit rows =
-  let merged =
-    match order_by with
-    | None -> rows
-    | Some attr ->
-      List.sort
-        (fun (_, v1, _) (_, v2, _) -> Int.compare (Value.get_int v2 attr) (Value.get_int v1 attr))
-        rows
-  in
-  take limit merged
-
 let scan_local t ~table ?order_by ~limit cb =
   match t.local_nodes with
   | [] -> cb []
@@ -472,17 +386,17 @@ let on_scan_reply t rid rows =
     ss.s_missing <- ss.s_missing - 1;
     if ss.s_missing = 0 then begin
       Hashtbl.remove t.scans rid;
-      ss.s_cb (order_rows ?order_by:ss.s_order_by ~limit:ss.s_limit ss.s_rows)
+      ss.s_cb (Store.order_rows ~order_by:ss.s_order_by ~limit:ss.s_limit ss.s_rows)
     end
 
 let scan_snapshot t ~table ?order_by ~limit cb =
   match t.snapshot with
   | Some s ->
-    Obs.incr t.obs "snapshot_fast_path";
+    emit t (History.Read `Snapshot);
     Runtime.spawn t.runtime (fun () ->
-        cb (order_rows ?order_by ~limit (s.snap_scan ~table)))
+        cb (Store.order_rows ~order_by ~limit (s.snap_scan ~table)))
   | None ->
-    Obs.incr t.obs "snapshot_fallback";
+    emit t (History.Read `Snapshot_fallback);
     scan_local t ~table ?order_by ~limit cb
 
 let scan ?(level = `Local) t ~table ?order_by ~limit cb =
@@ -508,7 +422,7 @@ let scan ?(level = `Local) t ~table ?order_by ~limit cb =
                   | Some None | None -> None)
                 rows
             in
-            cb (order_rows ?order_by ~limit upgraded)
+            cb (Store.order_rows ~order_by ~limit upgraded)
           in
           List.iter
             (fun (key, _, _) ->
@@ -543,9 +457,7 @@ let rec handle t ~src payload =
 
 let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.default ())
     () =
-  let history = ctx.Ctx.history
-  and obs = ctx.Ctx.obs
-  and local_nodes = ctx.Ctx.local_nodes in
+  let obs = ctx.Ctx.obs in
   let t =
     {
       runtime;
@@ -554,33 +466,23 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
       dc = Runtime.dc_of runtime node_id;
       replicas;
       master_of;
-      local_nodes;
+      local_nodes = ctx.Ctx.local_nodes;
       snapshot;
       txns = Hashtbl.create 256;
       hints = Hashtbl.create 256;
       reads = Hashtbl.create 64;
       scans = Hashtbl.create 16;
       next_rid = 0;
-      stats =
-        {
-          fast_commits = 0;
-          assisted_commits = 0;
-          aborts = 0;
-          collisions = 0;
-          redirects = 0;
-          timeout_recoveries = 0;
-        };
       rng = Rng.split (Runtime.rng runtime);
-      history;
       obs;
-      trace_tag = Printf.sprintf "app%d" node_id;
+      sink =
+        History.sink ~runtime ~obs ~history:ctx.Ctx.history ~node:node_id
+          ~tag:(Printf.sprintf "app%d" node_id);
     }
   in
   Runtime.register runtime node_id (fun ~src payload -> handle t ~src payload);
   t
 
 let inflight t = Hashtbl.length t.txns
-
-let stats t = t.stats
 
 let obs t = t.obs

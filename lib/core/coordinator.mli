@@ -100,22 +100,8 @@ val scan :
 val inflight : t -> int
 (** Transactions submitted but not yet decided (diagnostics). *)
 
-type stats = {
-  mutable fast_commits : int;
-      (** committed with every option learned on the pure fast path: one
-          wide-area round trip, no master involved — the paper's headline
-          common case *)
-  mutable assisted_commits : int;
-      (** committed, but some option needed a redirect, collision recovery
-          or timeout assistance (or the mode is Multi) *)
-  mutable aborts : int;
-  mutable collisions : int;  (** fast-quorum collisions detected *)
-  mutable redirects : int;  (** classic-window redirects followed *)
-  mutable timeout_recoveries : int;  (** learn timeouts that escalated *)
-}
-
-val stats : t -> stats
-(** Protocol-path counters for this app-server (live; not reset). *)
-
 val obs : t -> Mdcc_obs.Obs.t
-(** The observability handle this coordinator reports into. *)
+(** The observability handle this coordinator reports into: its registry
+    counts the protocol paths transactions take ([fast_commit],
+    [assisted_commit], [abort_conflict], [abort_constraint], [collision],
+    [redirect], [timeout_recovery]; docs/OBSERVABILITY.md). *)

@@ -22,5 +22,3 @@ let make ?history ?obs ?(local_nodes = []) () =
 let default () = make ()
 
 let with_local_nodes t local_nodes = { t with local_nodes }
-
-let record t ev = match t.history with None -> () | Some h -> History.record h ev

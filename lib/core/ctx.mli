@@ -26,6 +26,3 @@ val default : unit -> t
 
 val with_local_nodes : t -> int list -> t
 (** A copy of [t] scoped to one coordinator's co-located storage nodes. *)
-
-val record : t -> History.event -> unit
-(** Record into the context's history, if one is attached. *)

@@ -2,7 +2,6 @@ open Mdcc_storage
 open Mdcc_paxos
 module Rng = Mdcc_util.Rng
 module Table = Mdcc_util.Table
-module Obs = Mdcc_obs.Obs
 
 (* A classic Phase 2 round this master is running for one option. *)
 type round = {
@@ -62,15 +61,13 @@ type t = {
   masters : mstate Key.Tbl.t;
   recoveries : (Txn.id, txrec) Hashtbl.t;
   rng : Rng.t;
-  history : History.t option;  (* chaos-testing execution recorder *)
-  obs : Obs.t;
+  sink : History.sink;
   diverged : (string, unit) Hashtbl.t;
       (* "src#key" pairs currently known diverged at equal version (applied
          anti-entropy digests differ); drives the diverged_replicas gauge *)
-  trace_tag : string;  (* "node<id>", rendered once — not per trace point *)
 }
 
-let record t ev = match t.history with Some h -> History.record h ev | None -> ()
+let emit t ev = History.emit t.sink ev
 
 let node_id t = t.id
 
@@ -106,6 +103,11 @@ let applied_of t key = (rstate t key).Rstate.applied
 
 let applied_digest_of t key =
   Messages.applied_digest (Rstate.applied_txids (applied_of t key))
+
+(* Our committed version and full applied set: what a diverged peer replays. *)
+let sync_reply_of t key =
+  let version = (Store.ensure t.store key).Store.version in
+  Messages.Sync_reply { key; version; applied = applied_of t key }
 
 (* A snapshot of our committed state, tagged with every transaction folded
    into it. *)
@@ -147,26 +149,10 @@ let send t dst payload = Runtime.send t.runtime ~src:t.id ~dst payload
 
 let now t = Runtime.now t.runtime
 
-let trace t fmt = Runtime.trace t.runtime ~tag:t.trace_tag fmt
-
-(* Guard for trace points whose arguments allocate (key renderings,
-   verdict strings): [trace] itself skips formatting when nobody listens,
-   but argument evaluation happens at the call site. *)
-let tracing t = Runtime.tracing t.runtime
-
-let span t ~txid ~name ?key ~detail () =
-  Obs.span_event t.obs ~txid ~at:(now t) ~node:t.id ~name ?key ~detail ()
-
-let reject_counter = function
-  | Rstate.Version_validation -> "option_reject_version"
-  | Rstate.Outstanding_option -> "option_reject_outstanding"
-  | Rstate.Demarcation -> "option_reject_demarcation"
-
-let count_verdict t decision reason =
-  match (decision, reason) with
-  | Woption.Accepted, _ -> Obs.incr t.obs "option_accept"
-  | Woption.Rejected, Some r -> Obs.incr t.obs (reject_counter r)
-  | Woption.Rejected, None -> ()
+(* Send [msg] to every replica of [key], in replica order; our own replica
+   runs [self] synchronously instead. *)
+let to_replicas t key msg ~self =
+  List.iter (fun replica -> if replica = t.id then self () else send t replica msg) (t.replicas key)
 
 (* ------------------------------------------------------------------ *)
 (* Acceptor role                                                       *)
@@ -214,7 +200,6 @@ let fast_propose t (w : Woption.t) =
           Rstate.evaluate_why ~bounds:(bounds t key) ~demarcation:(`Quorum (n, qf)) row
             ~accepted:(Rstate.accepted rs) w.Woption.update
         in
-        count_verdict t decision reason;
         Rstate.add_pending rs
           {
             Rstate.woption = w;
@@ -222,20 +207,12 @@ let fast_propose t (w : Woption.t) =
             ballot = Ballot.initial_fast;
             proposed_at = now t;
           };
-        let verdict_str =
-          match (decision, reason) with
-          | Woption.Accepted, _ -> "acc"
-          | Woption.Rejected, Some Rstate.Version_validation -> "rej:version"
-          | Woption.Rejected, Some Rstate.Outstanding_option -> "rej:outstanding"
-          | Woption.Rejected, Some Rstate.Demarcation -> "rej:demarcation"
-          | Woption.Rejected, None -> "rej"
-        in
-        let key_str = Key.to_string key in
-        trace t "fast vote %s %s %s" w.Woption.txid key_str verdict_str;
-        span t ~txid:w.Woption.txid ~name:"vote" ~key:key_str
-          ~detail:("fast " ^ verdict_str) ();
+        emit t (History.Voted { txid = w.Woption.txid; key; route = `Fast; decision; reason });
         reply decision
       end)
+
+let vote_of (p : Rstate.pending) =
+  { Messages.woption = p.Rstate.woption; decision = p.Rstate.decision; ballot = p.Rstate.ballot }
 
 (* Phase1b contents, as a tuple so the master can be invoked synchronously
    for its own replica. *)
@@ -243,18 +220,12 @@ let acceptor_phase1a t key ballot =
   let rs = rstate t key in
   let ok = Ballot.compare ballot rs.Rstate.promised > 0 in
   if ok then rs.Rstate.promised <- ballot;
-  let votes =
-    List.map
-      (fun (p : Rstate.pending) ->
-        { Messages.woption = p.Rstate.woption; decision = p.Rstate.decision; ballot = p.Rstate.ballot })
-      rs.Rstate.pending
-  in
-  (ok, rs.Rstate.promised, votes, rebase_of t key, decided_for t key)
+  (ok, rs.Rstate.promised, List.map vote_of rs.Rstate.pending, rebase_of t key, decided_for t key)
 
 let apply_rebase t key (rb : Messages.rebase) =
   let row = Store.ensure t.store key in
   if rb.Messages.version > row.Store.version then begin
-    Obs.incr t.obs "antientropy_repair";
+    emit t (History.Repair { key; cause = `Rebase });
     row.Store.value <- rb.Messages.value;
     row.Store.version <- rb.Messages.version;
     row.Store.exists <- rb.Messages.exists;
@@ -291,11 +262,8 @@ let acceptor_phase2a t key ballot (w : Woption.t) decision classic_until rebase 
       (true, ballot, if committed then Woption.Accepted else Woption.Rejected)
     | None ->
       Rstate.add_pending rs { Rstate.woption = w; decision; ballot; proposed_at = now t };
-      span t ~txid:w.Woption.txid ~name:"vote" ~key:(Key.to_string key)
-        ~detail:
-          ("classic "
-          ^ match decision with Woption.Accepted -> "acc" | Woption.Rejected -> "rej")
-        ();
+      emit t
+        (History.Voted { txid = w.Woption.txid; key; route = `Classic; decision; reason = None });
       (true, ballot, decision)
   end
   else (false, rs.Rstate.promised, decision)
@@ -313,8 +281,7 @@ let visibility t txid key (update : Update.t) committed =
        stale row) and the master's committed state — whose rebase watermark
        settles this transaction — repairs us instead. *)
     if not (Hashtbl.mem t.visible (vkey txid key)) then begin
-      if tracing t then
-        trace t "visibility %s %s unknown update: catching up" txid (Key.to_string key);
+      emit t (History.Repair { key; cause = `Unknown_update txid });
       if t.master_of key <> t.id then
         send t (t.master_of key) (Messages.Catchup_request { key })
     end
@@ -344,25 +311,20 @@ let visibility t txid key (update : Update.t) committed =
       | Update.Read_guard _ -> ()
       | Update.Insert _ | Update.Physical _ | Update.Delete _ | Update.Delta _ ->
         Rstate.mark_applied rs txid update);
-      if apply_it then begin
-        Store.apply t.store key update;
-        record t
-          (History.Applied
-             {
-               time = now t;
-               node = t.id;
-               txid;
-               key;
-               version = row.Store.version;
-               value = row.Store.value;
-             })
-      end
+      if apply_it then Store.apply t.store key update;
+      emit t
+        (History.Applied
+           {
+             time = now t;
+             node = t.id;
+             txid;
+             key;
+             version = row.Store.version;
+             value = row.Store.value;
+             by = (if apply_it then Visibility else Visibility_noop);
+           })
     end
-    else record t (History.Voided { time = now t; node = t.id; txid; key });
-    Obs.incr t.obs (if committed then "visibility_exec" else "visibility_void");
-    let verdict = if committed then "exec" else "void" in
-    span t ~txid ~name:"visible" ~key:(Key.to_string key) ~detail:verdict ();
-    if tracing t then trace t "visibility %s %s -> %s" txid (Key.to_string key) verdict
+    else emit t (History.Voided { time = now t; node = t.id; txid; key })
   end
 
 let status_query t ~src txid key =
@@ -371,9 +333,7 @@ let status_query t ~src txid key =
     | Some committed -> Messages.Status_decided committed
     | None -> (
       match Rstate.find_pending (rstate t key) txid with
-      | Some p ->
-        Messages.Status_pending
-          { Messages.woption = p.Rstate.woption; decision = p.Rstate.decision; ballot = p.Rstate.ballot }
+      | Some p -> Messages.Status_pending (vote_of p)
       | None -> Messages.Status_unknown)
   in
   send t src (Messages.Status_reply { txid; key; status; acceptor = t.id })
@@ -398,16 +358,8 @@ let rec master_phase2b t ~src key txid ballot ok _decision =
       r.r_acks <- dedup_add src r.r_acks;
       if List.length r.r_acks >= qc t then begin
         ms.m_rounds <- List.filter (fun r' -> r' != r) ms.m_rounds;
-        let targets = union [ r.r_opt.Woption.coordinator ] r.r_notify in
-        List.iter
-          (fun dst ->
-            if dst = t.id then txn_recovery_learned t txid key r.r_dec
-            else send t dst (Messages.Learned { key; txid; decision = r.r_dec }))
-          targets;
-        Obs.incr t.obs "classic_learned";
-        if tracing t then
-          trace t "classic learned %s %s %s" txid (Key.to_string key)
-            (match r.r_dec with Woption.Accepted -> "acc" | Woption.Rejected -> "rej");
+        tell_learned t r.r_opt r.r_dec ~notify:r.r_notify;
+        emit t (History.Learned { txid; key; decision = r.r_dec; by = `Master });
         process_queue t key
       end
     end
@@ -420,17 +372,22 @@ let rec master_phase2b t ~src key txid ballot ok _decision =
       start_recovery t key ~extras:[ r.r_opt ] ~notify:r.r_notify
     end
 
-and broadcast_phase2a t key ballot (w : Woption.t) decision ~classic_until ~rebase =
+(* Tell an option's coordinator and everyone waiting on it the decision;
+   our own dangling-transaction recovery hears it synchronously. *)
+and tell_learned t (w : Woption.t) decision ~notify =
+  let key = w.Woption.key and txid = w.Woption.txid in
   List.iter
-    (fun replica ->
-      if replica = t.id then begin
-        let ok, b, d = acceptor_phase2a t key ballot w decision classic_until rebase in
-        master_phase2b t ~src:t.id key w.Woption.txid b ok d
-      end
-      else
-        send t replica
-          (Messages.Phase2a { key; ballot; woption = w; decision; classic_until; rebase }))
-    (t.replicas key)
+    (fun dst ->
+      if dst = t.id then txn_recovery_learned t txid key decision
+      else send t dst (Messages.Learned { key; txid; decision }))
+    (union [ w.Woption.coordinator ] notify)
+
+and broadcast_phase2a t key ballot (w : Woption.t) decision ~classic_until ~rebase =
+  to_replicas t key
+    (Messages.Phase2a { key; ballot; woption = w; decision; classic_until; rebase })
+    ~self:(fun () ->
+      let ok, b, d = acceptor_phase2a t key ballot w decision classic_until rebase in
+      master_phase2b t ~src:t.id key w.Woption.txid b ok d)
 
 (* Stable-master classic round: validate with escrow against our own state
    (our own pendings mirror every in-flight classic option) and replicate the
@@ -446,7 +403,7 @@ and start_round t key (w : Woption.t) ~notify =
       Rstate.evaluate_why ~bounds:(bounds t key) ~demarcation:`Escrow row
         ~accepted:(Rstate.accepted rs) w.Woption.update
     in
-    count_verdict t decision reason;
+    emit t (History.Voted { txid = w.Woption.txid; key; route = `Master; decision; reason });
     let r = { r_opt = w; r_dec = decision; r_ballot = ballot; r_acks = []; r_notify = notify } in
     ms.m_rounds <- r :: ms.m_rounds;
     broadcast_phase2a t key ballot w decision ~classic_until:rs.Rstate.classic_until ~rebase:None
@@ -474,24 +431,15 @@ and master_propose t (w : Woption.t) ~notify =
   let txid = w.Woption.txid in
   let ms = mstate t key in
   let rs = rstate t key in
-  let tell decision =
-    List.iter
-      (fun dst ->
-        if dst = t.id then txn_recovery_learned t txid key decision
-        else send t dst (Messages.Learned { key; txid; decision }))
-      (union [ w.Woption.coordinator ] notify)
-  in
   match Hashtbl.find_opt t.visible (vkey txid key) with
-  | Some committed -> tell (if committed then Woption.Accepted else Woption.Rejected)
+  | Some committed ->
+    tell_learned t w (if committed then Woption.Accepted else Woption.Rejected) ~notify
   | None -> (
     match List.find_opt (fun r -> String.equal r.r_opt.Woption.txid txid) ms.m_rounds with
     | Some r -> r.r_notify <- union r.r_notify notify
     | None -> (
       match ms.m_recovery with
-      | Some rc ->
-        if not (List.exists (fun o -> String.equal o.Woption.txid txid) rc.rc_extras) then
-          rc.rc_extras <- w :: rc.rc_extras;
-        rc.rc_notify <- union rc.rc_notify notify
+      | Some _ -> start_recovery t key ~extras:[ w ] ~notify
       | None -> (
         match Rstate.find_pending rs txid with
         | Some _ ->
@@ -546,22 +494,16 @@ and start_recovery t key ~extras ~notify =
       }
     in
     ms.m_recovery <- Some rc;
-    Obs.incr t.obs "recovery_start";
-    trace t "recovery start %s ballot=%d" (Key.to_string key) ms.m_highest;
+    emit t (History.Recovery (Started { key; ballot = ms.m_highest }));
     broadcast_phase1a t key rc;
     watch_recovery t key rc
 
 and broadcast_phase1a t key rc =
-  Obs.incr t.obs "phase1_round";
+  emit t (History.Recovery (Phase1 { key }));
   let ballot = rc.rc_ballot in
-  List.iter
-    (fun replica ->
-      if replica = t.id then begin
-        let ok, promised, votes, rb, decided = acceptor_phase1a t key ballot in
-        master_phase1b t ~src:t.id key ballot ok promised votes rb decided
-      end
-      else send t replica (Messages.Phase1a { key; ballot }))
-    (t.replicas key)
+  to_replicas t key (Messages.Phase1a { key; ballot }) ~self:(fun () ->
+      let ok, promised, votes, rb, decided = acceptor_phase1a t key ballot in
+      master_phase1b t ~src:t.id key ballot ok promised votes rb decided)
 
 (* Re-drive Phase 1 if the recovery stalls (lost messages, failed DC). *)
 and watch_recovery t key rc =
@@ -709,25 +651,24 @@ and resolve_recovery t key rc =
      that one, so no conflicting option could have been chosen since —
      the re-based state still satisfies it and re-validation re-accepts it.
      An option re-validation rejects provably was never chosen. *)
+  let validate (w : Woption.t) =
+    Rstate.evaluate ~bounds:(bounds t key) ~demarcation:`Escrow base_val
+      ~accepted:!accepted_so_far w.Woption.update
+  in
+  let admit w d =
+    if d = Woption.Accepted then accepted_so_far := as_pending w d :: !accepted_so_far;
+    (w, d)
+  in
+  let revalidate =
+    List.map (fun ((w : Woption.t), d) ->
+        if d = Woption.Accepted && not (Update.is_commutative w.Woption.update) then
+          admit w (validate w)
+        else admit w d)
+  in
   let classic_checked =
-    let sorted =
-      List.sort (fun (_, _, b1) (_, _, b2) -> Ballot.compare b2 b1) !classic_voted
-    in
-    List.map
-      (fun ((w : Woption.t), d, _) ->
-        if d = Woption.Accepted && not (Update.is_commutative w.Woption.update) then begin
-          let d' =
-            Rstate.evaluate ~bounds:(bounds t key) ~demarcation:`Escrow base_val
-              ~accepted:!accepted_so_far w.Woption.update
-          in
-          if d' = Woption.Accepted then accepted_so_far := as_pending w d' :: !accepted_so_far;
-          (w, d')
-        end
-        else begin
-          if d = Woption.Accepted then accepted_so_far := as_pending w d :: !accepted_so_far;
-          (w, d)
-        end)
-      sorted
+    List.sort (fun (_, _, b1) (_, _, b2) -> Ballot.compare b2 b1) !classic_voted
+    |> List.map (fun (w, d, _) -> (w, d))
+    |> revalidate
   in
   (* Fast votes likewise only prove a non-commutative option *might* have
      been chosen (the rest of the fast quorum is outside this view).  When
@@ -738,39 +679,13 @@ and resolve_recovery t key rc =
      Commutative deltas keep the threshold decision: they carry no instance
      to conflict on. *)
   let fast_checked =
-    let sorted =
-      sort_opts (List.map fst !fast_forced)
-      |> List.map (fun w -> (w, List.assq w !fast_forced))
-    in
-    List.map
-      (fun ((w : Woption.t), d) ->
-        if d = Woption.Accepted && not (Update.is_commutative w.Woption.update) then begin
-          let d' =
-            Rstate.evaluate ~bounds:(bounds t key) ~demarcation:`Escrow base_val
-              ~accepted:!accepted_so_far w.Woption.update
-          in
-          if d' = Woption.Accepted then accepted_so_far := as_pending w d' :: !accepted_so_far;
-          (w, d')
-        end
-        else begin
-          if d = Woption.Accepted then accepted_so_far := as_pending w d :: !accepted_so_far;
-          (w, d)
-        end)
-      sorted
+    sort_opts (List.map fst !fast_forced)
+    |> List.map (fun w -> (w, List.assq w !fast_forced))
+    |> revalidate
   in
   (* Validate the free options deterministically, oldest instance first,
      against the re-based state plus everything already forced accepted. *)
-  let decided_free =
-    List.map
-      (fun w ->
-        let d =
-          Rstate.evaluate ~bounds:(bounds t key) ~demarcation:`Escrow base_val
-            ~accepted:!accepted_so_far w.Woption.update
-        in
-        if d = Woption.Accepted then accepted_so_far := as_pending w d :: !accepted_so_far;
-        (w, d))
-      (sort_opts !free)
-  in
+  let decided_free = List.map (fun w -> admit w (validate w)) (sort_opts !free) in
   (* Install the classic window and become the stable master. *)
   let classic_until =
     match t.config.Config.mode with
@@ -783,14 +698,7 @@ and resolve_recovery t key rc =
   ms.m_recovery <- None;
   ms.m_led <- Some rc.rc_ballot;
   (* Options already executed: just tell everyone who asked. *)
-  List.iter
-    (fun ((w : Woption.t), d) ->
-      List.iter
-        (fun dst ->
-          if dst = t.id then txn_recovery_learned t w.Woption.txid key d
-          else send t dst (Messages.Learned { key; txid = w.Woption.txid; decision = d }))
-        (union [ w.Woption.coordinator ] rc.rc_notify))
-    !already_visible;
+  List.iter (fun (w, d) -> tell_learned t w d ~notify:rc.rc_notify) !already_visible;
   (* Re-propose every undecided option at the classic ballot. *)
   let outcomes = classic_checked @ fast_checked @ decided_free in
   List.iter
@@ -804,10 +712,15 @@ and resolve_recovery t key rc =
     (fun ((w : Woption.t), d) ->
       broadcast_phase2a t key rc.rc_ballot w d ~classic_until ~rebase:(Some rebase))
     outcomes;
-  trace t "recovery resolved %s: %d options (%d forced, %d free)" (Key.to_string key)
-    (List.length outcomes)
-    (List.length classic_checked + List.length fast_checked)
-    (List.length decided_free)
+  emit t
+    (History.Recovery
+       (Resolved
+          {
+            key;
+            options = List.length outcomes;
+            forced = List.length classic_checked + List.length fast_checked;
+            free = List.length decided_free;
+          }))
 
 (* ------------------------------------------------------------------ *)
 (* Dangling-transaction recovery (app-server failure, §3.2.3)          *)
@@ -836,8 +749,7 @@ and synthetic_reject_option t txid key keys =
 
 and evaluate_txn_recovery t tr =
   if not tr.tx_done then begin
-    let n, qf = n_qf t in
-    ignore n;
+    let _, qf = n_qf t in
     (* Short-circuit: any replica that already executed a Visibility knows
        the whole transaction's outcome. *)
     let decided_outcome =
@@ -846,13 +758,12 @@ and evaluate_txn_recovery t tr =
           match acc with
           | Some _ -> acc
           | None ->
-            List.fold_left
-              (fun acc (_, st) ->
-                match (acc, st) with
-                | None, Messages.Status_decided c -> Some c
-                | acc, (Messages.Status_decided _ | Messages.Status_pending _ | Messages.Status_unknown) ->
-                  acc)
-              None replies)
+            List.find_map
+              (fun (_, st) ->
+                match st with
+                | Messages.Status_decided c -> Some c
+                | Messages.Status_pending _ | Messages.Status_unknown -> None)
+              replies)
         tr.tx_replies None
     in
     (* Record any options we learned about from pending votes. *)
@@ -924,7 +835,7 @@ and evaluate_txn_recovery t tr =
 
 and finish_txn_recovery t tr committed =
   tr.tx_done <- true;
-  trace t "txn recovery %s -> %s" tr.tx_id (if committed then "commit" else "abort");
+  emit t (History.Recovery (Txn_finished { txid = tr.tx_id; committed }));
   List.iter
     (fun key ->
       let update =
@@ -932,12 +843,8 @@ and finish_txn_recovery t tr committed =
         | Some w -> w.Woption.update
         | None -> Update.Physical { vread = -1; value = Value.empty }
       in
-      List.iter
-        (fun replica ->
-          if replica = t.id then visibility t tr.tx_id key update committed
-          else
-            send t replica (Messages.Visibility { txid = tr.tx_id; key; update; committed }))
-        (t.replicas key))
+      to_replicas t key (Messages.Visibility { txid = tr.tx_id; key; update; committed })
+        ~self:(fun () -> visibility t tr.tx_id key update committed))
     tr.tx_keys
 
 let start_txn_recovery t (w : Woption.t) =
@@ -954,14 +861,12 @@ let start_txn_recovery t (w : Woption.t) =
       }
     in
     Hashtbl.replace t.recoveries w.Woption.txid tr;
-    trace t "txn recovery start %s (%d keys)" w.Woption.txid (List.length tr.tx_keys);
+    emit t
+      (History.Recovery (Txn_started { txid = w.Woption.txid; keys = List.length tr.tx_keys }));
     List.iter
       (fun key ->
-        List.iter
-          (fun replica ->
-            if replica = t.id then status_query t ~src:t.id w.Woption.txid key
-            else send t replica (Messages.Status_query { txid = w.Woption.txid; key }))
-          (t.replicas key))
+        to_replicas t key (Messages.Status_query { txid = w.Woption.txid; key }) ~self:(fun () ->
+            status_query t ~src:t.id w.Woption.txid key))
       tr.tx_keys;
     (* If recovery stalls (failed replicas), forget it so a later scan can
        retry from scratch with fresh messages. *)
@@ -1019,6 +924,15 @@ let scan_dangling t =
    Answer with our merged set when the peer is missing entries we hold —
    gated on having learned something new ourselves, so the exchange
    terminates after at most one reply each way. *)
+(* Mark ([Some version]) or clear ([None]) the equal-version divergence of
+   [(peer, key)]; only a change of state is a fact worth emitting. *)
+let set_diverged t ~peer key at =
+  let dkey = Printf.sprintf "%d#%s" peer (Key.to_string key) in
+  if Hashtbl.mem t.diverged dkey <> Option.is_some at then begin
+    if at = None then Hashtbl.remove t.diverged dkey else Hashtbl.replace t.diverged dkey ();
+    emit t (History.Divergence { peer; key; at })
+  end
+
 let sync_repair t ~src key (theirs : (Txn.id * Update.t) list) =
   let rs = rstate t key in
   let missing = Rstate.applied_missing ~mine:rs.Rstate.applied ~theirs in
@@ -1035,8 +949,7 @@ let sync_repair t ~src key (theirs : (Txn.id * Update.t) list) =
         Store.apply t.store key update;
         Rstate.mark_applied rs txid update;
         incr merged;
-        Obs.incr t.obs "antientropy_repair";
-        record t
+        emit t
           (History.Applied
              {
                time = now t;
@@ -1045,28 +958,16 @@ let sync_repair t ~src key (theirs : (Txn.id * Update.t) list) =
                key;
                version = row.Store.version;
                value = row.Store.value;
-             });
-        span t ~txid ~name:"repair" ~key:(Key.to_string key) ~detail:"replay delta" ();
-        trace t "repair %s %s: replayed delta from node %d" txid (Key.to_string key) src
+               by = Replay src;
+             })
       | Update.Insert _ | Update.Physical _ | Update.Delete _ | Update.Read_guard _ ->
         stale := true)
     missing;
   if !stale && t.id <> src then send t src (Messages.Catchup_request { key });
   (* Repaired: this pair is no longer diverged from our point of view. *)
-  let dkey = Printf.sprintf "%d#%s" src (Key.to_string key) in
-  if Hashtbl.mem t.diverged dkey then begin
-    Hashtbl.remove t.diverged dkey;
-    Obs.add_gauge t.obs "diverged_replicas" (-1)
-  end;
+  set_diverged t ~peer:src key None;
   if !merged > 0 && Rstate.applied_missing ~mine:theirs ~theirs:rs.Rstate.applied <> []
-  then
-    send t src
-      (Messages.Sync_reply
-         {
-           key;
-           version = (Store.ensure t.store key).Store.version;
-           applied = rs.Rstate.applied;
-         })
+  then send t src (sync_reply_of t key)
 
 (* ------------------------------------------------------------------ *)
 (* Wiring                                                              *)
@@ -1094,24 +995,9 @@ let rec handle t ~src payload =
           (* The prober is ahead of us: pull its committed state. *)
           send t src (Messages.Catchup_request { key })
         else if row.Store.version > 0 then begin
-          let dkey = Printf.sprintf "%d#%s" src (Key.to_string key) in
-          let ours = applied_digest_of t key in
-          if ours <> digest then begin
-            if not (Hashtbl.mem t.diverged dkey) then begin
-              Hashtbl.replace t.diverged dkey ();
-              Obs.incr t.obs "antientropy_divergence";
-              Obs.add_gauge t.obs "diverged_replicas" 1;
-              trace t "anti-entropy divergence with node %d on %s at v%d" src
-                (Key.to_string key) version
-            end;
-            send t src
-              (Messages.Sync_reply
-                 { key; version = row.Store.version; applied = applied_of t key })
-          end
-          else if Hashtbl.mem t.diverged dkey then begin
-            Hashtbl.remove t.diverged dkey;
-            Obs.add_gauge t.obs "diverged_replicas" (-1)
-          end
+          let diverged = applied_digest_of t key <> digest in
+          set_diverged t ~peer:src key (if diverged then Some version else None);
+          if diverged then send t src (sync_reply_of t key)
         end)
       entries
   | Messages.Sync_reply { key; version = _; applied } -> sync_repair t ~src key applied
@@ -1159,25 +1045,8 @@ let rec handle t ~src payload =
       send t src (Messages.Catchup { key; rebase = rebase_of t key })
   | Messages.Catchup { key; rebase } -> apply_rebase t key rebase
   | Messages.Scan_request { rid; table; order_by; limit } ->
-    let rows = ref [] in
-    Store.iter t.store (fun key row ->
-        if row.Store.exists && String.equal key.Key.table table then
-          rows := (key, row.Store.value, row.Store.version) :: !rows);
-    let rows =
-      match order_by with
-      | None -> !rows
-      | Some attr ->
-        List.sort
-          (fun (_, v1, _) (_, v2, _) ->
-            Int.compare (Value.get_int v2 attr) (Value.get_int v1 attr))
-          !rows
-    in
-    let rec take n = function
-      | [] -> []
-      | _ when n <= 0 -> []
-      | x :: tl -> x :: take (n - 1) tl
-    in
-    send t src (Messages.Scan_reply { rid; rows = take limit rows })
+    let rows = Store.order_rows ~order_by ~limit (Store.live_rows t.store ~table) in
+    send t src (Messages.Scan_reply { rid; rows })
   | Messages.Read_request { rid; key } ->
     let row = Store.ensure t.store key in
     send t src
@@ -1189,7 +1058,6 @@ let rec handle t ~src payload =
   | _ -> ()
 
 let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.default ()) () =
-  let history = ctx.Ctx.history and obs = ctx.Ctx.obs in
   let t =
     {
       runtime;
@@ -1205,10 +1073,10 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.de
       masters = Key.Tbl.create 256;
       recoveries = Hashtbl.create 64;
       rng = Rng.split (Runtime.rng runtime);
-      history;
-      obs;
+      sink =
+        History.sink ~runtime ~obs:ctx.Ctx.obs ~history:ctx.Ctx.history ~node:node_id
+          ~tag:(Printf.sprintf "node%d" node_id);
       diverged = Hashtbl.create 16;
-      trace_tag = Printf.sprintf "node%d" node_id;
     }
   in
   Runtime.register runtime node_id (fun ~src payload -> handle t ~src payload);
@@ -1229,42 +1097,34 @@ let pending_options t =
     0
     (Key.Tbl.sorted_bindings t.records)
 
-(* Anti-entropy sweep: probe the master of every key we hold with our
-   version; stale keys come back via Catchup.  The "background process" that
-   brings a recovered data center up to date (§5.3.4). *)
-let sync_with_masters t =
-  let by_master = Hashtbl.create 8 in
+(* Probe [targets key] (other than ourselves) with our version and applied
+   digest of every key we hold; stale keys come back via Catchup.  Targets
+   are probed in node-id order, each with one Sync_request. *)
+let probe t targets =
+  let by_target = Hashtbl.create 8 in
   Store.iter t.store (fun key row ->
-      let master = t.master_of key in
-      if master <> t.id then begin
-        let existing = Option.value (Hashtbl.find_opt by_master master) ~default:[] in
-        let digest = applied_digest_of t key in
-        Hashtbl.replace by_master master ((key, row.Store.version, digest) :: existing)
-      end);
-  (* Probe masters in node-id order; entry lists are already in key order
-     because [Store.iter] is sorted. *)
+      List.iter
+        (fun dst ->
+          if dst <> t.id then begin
+            let existing = Option.value (Hashtbl.find_opt by_target dst) ~default:[] in
+            let digest = applied_digest_of t key in
+            Hashtbl.replace by_target dst ((key, row.Store.version, digest) :: existing)
+          end)
+        (targets key));
   Table.sorted_iter ~compare:Int.compare
-    (fun master entries -> send t master (Messages.Sync_request { entries }))
-    by_master
+    (fun dst entries -> send t dst (Messages.Sync_request { entries }))
+    by_target
+
+(* Anti-entropy sweep: probe the master of every key we hold.  The
+   "background process" that brings a recovered data center up to date
+   (§5.3.4). *)
+let sync_with_masters t = probe t (fun key -> [ t.master_of key ])
 
 (* Stronger anti-entropy for a node restarting after a crash: probe every
    replica of every key we hold, not just the masters.  A crashed node may
    have missed instances of keys it {e masters} — their state is newer at the
    other replicas, which the master-directed sweep above never asks. *)
-let sync_with_peers t =
-  let by_peer = Hashtbl.create 8 in
-  Store.iter t.store (fun key row ->
-      List.iter
-        (fun peer ->
-          if peer <> t.id then begin
-            let existing = Option.value (Hashtbl.find_opt by_peer peer) ~default:[] in
-            let digest = applied_digest_of t key in
-            Hashtbl.replace by_peer peer ((key, row.Store.version, digest) :: existing)
-          end)
-        (t.replicas key));
-  Table.sorted_iter ~compare:Int.compare
-    (fun peer entries -> send t peer (Messages.Sync_request { entries }))
-    by_peer
+let sync_with_peers t = probe t t.replicas
 
 let start_maintenance t =
   let period = t.config.Config.dangling_scan_every in

@@ -69,3 +69,21 @@ let iter t f = Key.Tbl.sorted_iter f t.rows
 
 let fold t ~init ~f =
   List.fold_left (fun acc (k, row) -> f k row acc) init (Key.Tbl.sorted_bindings t.rows)
+
+let live_rows t ~table =
+  let rows = ref [] in
+  iter t (fun key row ->
+      if row.exists && String.equal key.Key.table table then
+        rows := (key, row.value, row.version) :: !rows);
+  !rows
+
+let order_rows ~order_by ~limit rows =
+  let sorted =
+    match order_by with
+    | None -> rows
+    | Some attr ->
+      List.sort
+        (fun (_, v1, _) (_, v2, _) -> Int.compare (Value.get_int v2 attr) (Value.get_int v1 attr))
+        rows
+  in
+  List.filteri (fun i _ -> i < limit) sorted

@@ -47,3 +47,16 @@ val size : t -> int
 val iter : t -> (Key.t -> row -> unit) -> unit
 
 val fold : t -> init:'a -> f:(Key.t -> row -> 'a -> 'a) -> 'a
+
+val live_rows : t -> table:string -> (Key.t * Value.t * int) list
+(** Every existing row of [table] with its version, in descending key order. *)
+
+val order_rows :
+  order_by:string option ->
+  limit:int ->
+  (Key.t * Value.t * int) list ->
+  (Key.t * Value.t * int) list
+(** The shape of a scan result: rows sorted descending by the integer
+    attribute [order_by] (stable, so unsorted scans keep their order), then
+    truncated to [limit].  Storage nodes, coordinators and sessions all
+    order scan rows with this one function. *)

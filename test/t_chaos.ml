@@ -27,10 +27,10 @@ let check_has name evs inv =
   Alcotest.(check bool) (name ^ " flags " ^ inv) true (List.mem inv (invariants vs))
 
 let submitted ?(time = 0.0) txn = History.Submitted { time; coordinator = 0; txn }
-let decided ?(time = 10.0) txid outcome = History.Decided { time; txid; outcome }
+let decided ?(time = 10.0) txid outcome = History.Decided { time; txid; outcome; fast = false }
 
 let applied ?(time = 20.0) ?(node = 0) txid k version value =
-  History.Applied { time; node; txid; key = k; version; value }
+  History.Applied { time; node; txid; key = k; version; value; by = History.Visibility }
 
 let voided ?(time = 20.0) ?(node = 0) txid k = History.Voided { time; node; txid; key = k }
 

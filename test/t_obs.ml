@@ -425,6 +425,60 @@ let test_chaos_obs_determinism () =
   in
   Alcotest.(check string) "byte-identical metrics+span JSON" (render ()) (render ())
 
+(* ------------------------------------------------------------------ *)
+(* Golden identity pins                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every other byte-identity test compares two runs of the same build; these
+   compare against digests recorded once, so a refactor of how the protocol
+   reports its facts (counters, spans, trace lines, history) must reproduce
+   the earlier bytes exactly.  A deliberate change to any of those outputs
+   re-records the digest and says why. *)
+
+let digest s = Digest.to_hex (Digest.string s)
+
+(* Three seeds over the full nemesis matrix with trace capture: per-run
+   report JSON (verdict, history length, fault schedule, trace lines) plus
+   the sweep's metrics+spans document. *)
+let test_golden_sweep () =
+  let reports =
+    Sweep.run ~jobs:1 (Sweep.specs ~capture_trace:true ~seeds:3 ~scenarios:Nemesis.matrix ())
+  in
+  let rendered =
+    String.concat "\n" (List.map Runner.report_to_json reports)
+    ^ "\n"
+    ^ Json.to_string (Sweep.obs_doc reports)
+  in
+  Alcotest.(check string)
+    "sweep reports + obs doc digest" "14de534776fab8bb9b463bd77c4f2643" (digest rendered)
+
+(* A short contended TPC-W run on two items: stock runs out, so acceptors
+   reject by demarcation and transactions abort on the constraint. *)
+let test_golden_tpcw () =
+  let module Tpcw = Mdcc_workload.Tpcw in
+  let module Setup = Mdcc_workload.Setup in
+  let module Wrunner = Mdcc_workload.Runner in
+  let obs = Obs.create () in
+  let p = { Tpcw.default with items = 2 } in
+  let rows = Tpcw.rows p ~rng:(Mdcc_util.Rng.create 5) in
+  let h = Setup.make Setup.Mdcc ~seed:11 ~schema:Tpcw.schema ~obs ~rows () in
+  ignore
+    (Wrunner.run h (Tpcw.generator p)
+       {
+         Wrunner.clients_per_dc = Array.make 5 6;
+         warmup = 500.0;
+         duration = 30_000.0;
+         drain = 10_000.0;
+         seed = 3;
+       });
+  let reg = Obs.registry obs in
+  Alcotest.(check bool) "demarcation rejects fired" true
+    (Registry.counter reg "option_reject_demarcation" > 0);
+  Alcotest.(check bool) "constraint aborts fired" true
+    (Registry.counter reg "abort_constraint" > 0);
+  Alcotest.(check string) "TPC-W metrics JSON digest" "d0f1d285f8b073af850b48b44564c16b"
+    (digest (Json.to_string (Obs.metrics_json obs)))
+
 let suite =
   [
     Alcotest.test_case "json render" `Quick test_json_render;
@@ -449,4 +503,6 @@ let suite =
     Alcotest.test_case "chaos run counters" `Quick test_chaos_counters;
     Alcotest.test_case "chaos span ordering" `Quick test_chaos_span_ordering;
     Alcotest.test_case "chaos obs determinism" `Quick test_chaos_obs_determinism;
+    Alcotest.test_case "golden: chaos sweep reports + obs doc" `Quick test_golden_sweep;
+    Alcotest.test_case "golden: TPC-W metrics JSON" `Quick test_golden_tpcw;
   ]

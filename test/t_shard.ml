@@ -140,10 +140,10 @@ let invariants vs =
   List.sort_uniq String.compare (List.map (fun v -> v.Checker.invariant) vs)
 
 let submitted ?(time = 0.0) txn = History.Submitted { time; coordinator = 0; txn }
-let decided ?(time = 10.0) txid outcome = History.Decided { time; txid; outcome }
+let decided ?(time = 10.0) txid outcome = History.Decided { time; txid; outcome; fast = false }
 
 let applied ?(time = 20.0) ?(node = 0) txid k version value =
-  History.Applied { time; node; txid; key = k; version; value }
+  History.Applied { time; node; txid; key = k; version; value; by = History.Visibility }
 
 let voided ?(time = 20.0) ?(node = 0) txid k = History.Voided { time; node; txid; key = k }
 let write ?(value = stock 9) k vread = (k, Update.Physical { vread; value })

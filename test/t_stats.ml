@@ -1,5 +1,5 @@
 (* Protocol-path counters: direct evidence for the paper's headline claims
-   about which path transactions take. *)
+   about which path transactions take, read from the cluster's registry. *)
 
 open Mdcc_storage
 open Helpers
@@ -8,19 +8,24 @@ module Cluster = Mdcc_core.Cluster
 module Config = Mdcc_core.Config
 module Coordinator = Mdcc_core.Coordinator
 module Rng = Mdcc_util.Rng
+module Obs = Mdcc_obs.Obs
+module Registry = Mdcc_obs.Registry
+
+(* The helper clusters report into the ambient registry, so every test
+   starts from a cleared one. *)
+let fresh_cluster ~mode ~items =
+  Obs.reset_ambient ();
+  make_cluster ~mode ~items ()
 
 let total_stats cluster =
-  List.fold_left
-    (fun (f, a, ab, coll) c ->
-      let s = Coordinator.stats c in
-      ( f + s.Coordinator.fast_commits,
-        a + s.Coordinator.assisted_commits,
-        ab + s.Coordinator.aborts,
-        coll + s.Coordinator.collisions ))
-    (0, 0, 0, 0) (Cluster.coordinators cluster)
+  let n = Registry.counter (Obs.registry (Cluster.obs cluster)) in
+  ( n "fast_commit",
+    n "assisted_commit",
+    n "abort_conflict" + n "abort_constraint",
+    n "collision" )
 
 let run_uncontended mode =
-  let engine, cluster = make_cluster ~mode ~items:200 () in
+  let engine, cluster = fresh_cluster ~mode ~items:200 in
   let rng = Rng.create 9 in
   let submitted = ref 0 in
   for i = 0 to 99 do
@@ -60,7 +65,7 @@ let test_contention_produces_collisions () =
      Fast Paxos collision path must fire.  (Many-way races instead tend to
      reach four *rejects* quickly — a decisive learned rejection, not a
      collision.) *)
-  let engine, cluster = make_cluster ~mode:Config.Fast_only ~items:1 () in
+  let engine, cluster = fresh_cluster ~mode:Config.Fast_only ~items:1 in
   for i = 0 to 1 do
     Coordinator.submit
       (Cluster.coordinator cluster ~dc:(4 * i) ~rank:0)

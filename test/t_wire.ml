@@ -595,6 +595,66 @@ let test_server_metrics () =
   | Unix.WSIGNALED s -> Alcotest.failf "server killed by signal %d" s
   | Unix.WSTOPPED _ -> Alcotest.fail "server stopped"
 
+(* The [stats] verb's protocol-path fields are read from the same registry
+   the coordinator emits into, so they must equal the registry counters —
+   [aborts] being the two abort counters together.  An in-process server
+   driven by [Loop.poll]; two connections race to insert one key, so one
+   insert aborts on the conflict and retries. *)
+let test_server_stats_registry () =
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  let server = Mdcc_wire.Server.create ~nodes:3 ~port:0 () in
+  let lp = Mdcc_wire.Server.loop server in
+  let client () =
+    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Mdcc_wire.Server.port server));
+    (fd, Buffer.create 1024)
+  in
+  let clients = [ client (); client () ] in
+  let buf = Bytes.create 4096 in
+  let rec converse ~until =
+    if Unix.gettimeofday () > deadline then Alcotest.fail "timed out waiting for the server";
+    Loop.poll lp ~max_wait_ms:1.0;
+    List.iter
+      (fun (fd, acc) ->
+        match Unix.select [ fd ] [] [] 0.0 with
+        | [], _, _ -> ()
+        | _ -> Buffer.add_subbytes acc buf 0 (Unix.read fd buf 0 (Bytes.length buf)))
+      clients;
+    if not (until ()) then converse ~until
+  in
+  let replied needle (_, acc) = contains ~needle (Buffer.contents acc) in
+  List.iter (fun (fd, _) -> send_all fd "set race 0 0 1\r\nx\r\n") clients;
+  converse ~until:(fun () -> List.for_all (replied "STORED\r\n") clients);
+  let ((fd, acc) as first) = List.hd clients in
+  Buffer.clear acc;
+  send_all fd "stats\r\n";
+  converse ~until:(fun () -> replied "END\r\n" first);
+  List.iter (fun (fd, _) -> Unix.close fd) clients;
+  Loop.close_listeners lp;
+  let stat name =
+    String.split_on_char '\n' (Buffer.contents acc)
+    |> List.find_map (fun line ->
+           match String.split_on_char ' ' (String.trim line) with
+           | [ "STAT"; n; v ] when String.equal n name -> int_of_string_opt v
+           | _ -> None)
+    |> function
+    | Some v -> v
+    | None -> Alcotest.failf "stats lacks %s" name
+  in
+  let counter = Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry (Mdcc_wire.Server.obs server)) in
+  Alcotest.(check bool) "commits happened" true (stat "fast_commits" + stat "assisted_commits" > 0);
+  Alcotest.(check bool) "the racing insert aborted" true (stat "aborts" > 0);
+  List.iter
+    (fun (field, value) -> Alcotest.(check int) field value (stat field))
+    [
+      ("fast_commits", counter "fast_commit");
+      ("assisted_commits", counter "assisted_commit");
+      ("aborts", counter "abort_conflict" + counter "abort_constraint");
+      ("collisions", counter "collision");
+      ("redirects", counter "redirect");
+      ("timeout_recoveries", counter "timeout_recovery");
+    ]
+
 let suite =
   [
     Alcotest.test_case "timer wheel: firing order" `Quick test_wheel_order;
@@ -612,4 +672,5 @@ let suite =
     Alcotest.test_case "socket loop meters Messages.size_of" `Quick test_loop_meter_size_of;
     Alcotest.test_case "server_cli: SIGTERM graceful drain" `Quick test_server_sigterm;
     Alcotest.test_case "server_cli: live metrics over TCP" `Quick test_server_metrics;
+    Alcotest.test_case "server: stats verb reads the registry" `Quick test_server_stats_registry;
   ]
