@@ -8,8 +8,8 @@
    Sections (each a fixed workload; scales are constants, not flags):
    - events: event-queue push/pop and cancel churn, Engine.run dispatch
      and Network.send ping-pong, 300k ops each — the DES hot loop;
-   - micro:  five protocol-critical data-structure cases (cstruct append,
-     quorum safe_value, event heap, store delta apply, rstate demarcation);
+   - micro:  three protocol-critical data-structure cases (event heap,
+     store delta apply, rstate demarcation);
    - sweep:  the full chaos scenario matrix x 50 seeds, sequentially and on
      4 domains, asserting byte-identical output, then both legs again
      under the per-phase profiler;
@@ -138,35 +138,6 @@ let micro_case name f =
   in
   section ("micro." ^ name) ~ops:micro_iters t
 
-module Cmd = struct
-  type t = { id : string; commutes : bool }
-
-  let id c = c.id
-
-  let commutes a b = a.commutes && b.commutes
-end
-
-module C = Mdcc_paxos.Cstruct.Make (Cmd)
-
-(* append 8 commands, then compare against a one-longer extension *)
-let cstruct_append () =
-  let base =
-    List.fold_left C.append C.empty
-      (List.init 8 (fun i -> { Cmd.id = string_of_int i; commutes = i mod 2 = 0 }))
-  in
-  ignore (C.leq base (C.append base { Cmd.id = "x"; commutes = true }))
-
-let quorum_safe_value =
-  let votes =
-    List.init 3 (fun i ->
-        {
-          Mdcc_paxos.Quorum.acceptor = i;
-          ballot = Mdcc_paxos.Ballot.initial_fast;
-          value = (if i = 1 then "b" else "a");
-        })
-  in
-  fun () -> ignore (Mdcc_paxos.Quorum.safe_value ~n:5 ~quorum_size:3 ~equal:String.equal votes)
-
 (* push 64 events, drain through the engine's dispatch primitive *)
 let event_heap () =
   let q = Event_queue.create () in
@@ -204,8 +175,6 @@ let demarcation =
 
 let micro () =
   [
-    micro_case "cstruct_append" cstruct_append;
-    micro_case "quorum_safe_value" quorum_safe_value;
     micro_case "event_heap" event_heap;
     micro_case "store_apply" store_apply;
     micro_case "rstate_demarcation" demarcation;

@@ -118,6 +118,22 @@ val master_node : t -> Key.t -> int
     [master_dc_of key]'s data center — always a member of
     [replicas t key]. *)
 
+(** {2 Node layout}
+
+    The one definition of where a key lives, shared by every deployment
+    that runs these state machines (this cluster, the baselines' fabric
+    and the wire server), so all of them route a key to the same node
+    ids: storage node [dc * partitions + p] is data center [dc]'s replica
+    of hash partition [p]. *)
+
+val replicas_fn : dcs:int -> partitions:int -> Key.t -> int list
+(** {!replicas} without a cluster value. *)
+
+val default_master_dc : dcs:int -> Key.t -> int
+(** The master's data center when the spec sets no [master_dc_of]: a hash
+    of the key decorrelated from its partition, so masters spread
+    evenly. *)
+
 val load : t -> (Key.t * Value.t) list -> unit
 (** Install committed rows (version 1) on every replica — experiment
     setup. *)

@@ -166,3 +166,33 @@ let evaluate_why ~bounds ~demarcation valuation ~accepted up =
 
 let evaluate ~bounds ~demarcation valuation ~accepted up =
   fst (evaluate_why ~bounds ~demarcation valuation ~accepted up)
+
+type recovery_class =
+  | Classic_voted of Woption.decision * Ballot.t
+  | Fast_forced of Woption.decision
+  | Free
+
+(* Fast Paxos ProvedSafe, per option.  At most one decision can hold at a
+   classic ballot, so the highest classic vote is the one that may have been
+   chosen.  Failing that, a decision may have been fast-chosen iff its
+   supporters in Q could be completed to a fast quorum by the n - |Q|
+   acceptors outside Q.  Ties on the highest classic ballot keep the first
+   vote in [votes]. *)
+let proved_safe ~n ~qf ~quorum_size votes =
+  let highest_classic =
+    List.fold_left
+      (fun best (d, b) ->
+        match best with
+        | _ when Ballot.is_fast b -> best
+        | Some (_, hb) when Ballot.compare b hb <= 0 -> best
+        | Some _ | None -> Some (d, b))
+      None votes
+  in
+  match highest_classic with
+  | Some (d, b) -> Classic_voted (d, b)
+  | None ->
+    let threshold = qf - (n - quorum_size) in
+    let support d = List.length (List.filter (fun (d', _) -> d' = d) votes) in
+    if support Woption.Accepted >= threshold then Fast_forced Woption.Accepted
+    else if support Woption.Rejected >= threshold then Fast_forced Woption.Rejected
+    else Free

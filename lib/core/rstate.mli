@@ -17,7 +17,9 @@
        rejection instead of blocking);}
     {- commutative acceptance with value constraints: quorum demarcation
        ([`Quorum]) on acceptors, plain escrow ([`Escrow]) at a master that is
-       the sole decider (§3.4.2).}} *)
+       the sole decider (§3.4.2);}
+    {- the per-option ProvedSafe rule that classifies options during
+       collision recovery (§3.3.1, {!proved_safe}).}} *)
 
 open Mdcc_storage
 open Mdcc_paxos
@@ -139,3 +141,26 @@ val demarcation_lower_ok :
 
 val demarcation_upper_ok :
   n:int -> qf:int -> base:int -> upper:int -> pending_pos:int -> delta_pos:int -> bool
+
+(** {2 Collision recovery} *)
+
+type recovery_class =
+  | Classic_voted of Woption.decision * Ballot.t
+      (** the highest-ballot classic vote: its decision may have been chosen
+          in that round *)
+  | Fast_forced of Woption.decision
+      (** enough fast support that the decision may have been fast-chosen *)
+  | Free  (** nothing can have been chosen: the master decides *)
+
+val proved_safe :
+  n:int -> qf:int -> quorum_size:int -> (Woption.decision * Ballot.t) list -> recovery_class
+(** The per-option ProvedSafe rule of §3.3.1, given the [(decision,
+    ballot)] votes for one option reported by a Phase1b quorum of
+    [quorum_size] acceptors out of [n] (fast quorum size [qf]):
+    {ul
+    {- the highest-ballot classic vote forces its decision (the first such
+       vote in list order on a tie);}
+    {- otherwise [Accepted], then [Rejected], is forced when its fast
+       support reaches [qf - (n - quorum_size)];}
+    {- otherwise the option is [Free].}}
+    No votes at all is [Free] whenever that threshold is positive. *)

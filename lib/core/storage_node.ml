@@ -587,11 +587,8 @@ and resolve_recovery t key rc =
     (fun (_, _, _, decided) ->
       List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) decided)
     rc.rc_resp;
-  (* Split candidates: decided-by-visibility, classic-voted (a vote cast in
-     some classic round — for each option only its highest-ballot vote
-     matters), fast-threshold ("might have been chosen" at the fast
-     ballot), and free. *)
-  let threshold = qf - (n - quorum_size) in
+  (* Split candidates: decided-by-visibility, then by ProvedSafe
+     ({!Rstate.proved_safe}) into classic-voted, fast-forced and free. *)
   let already_visible = ref [] and classic_voted = ref [] and fast_forced = ref [] in
   let free = ref [] in
   (* Sorted by txid: the order candidates are classified (and therefore the
@@ -603,18 +600,10 @@ and resolve_recovery t key rc =
         already_visible :=
           (w, if committed then Woption.Accepted else Woption.Rejected) :: !already_visible
       | None -> (
-        let classic_votes =
-          List.filter (fun (_, b) -> not (Ballot.is_fast b)) votes
-          |> List.sort (fun (_, b1) (_, b2) -> Ballot.compare b2 b1)
-        in
-        match classic_votes with
-        | (d, b) :: _ -> classic_voted := (w, d, b) :: !classic_voted
-        | [] ->
-          let acc = List.length (List.filter (fun (d, _) -> d = Woption.Accepted) votes) in
-          let rej = List.length (List.filter (fun (d, _) -> d = Woption.Rejected) votes) in
-          if acc >= threshold then fast_forced := (w, Woption.Accepted) :: !fast_forced
-          else if rej >= threshold then fast_forced := (w, Woption.Rejected) :: !fast_forced
-          else free := w :: !free))
+        match Rstate.proved_safe ~n ~qf ~quorum_size votes with
+        | Rstate.Classic_voted (d, b) -> classic_voted := (w, d, b) :: !classic_voted
+        | Rstate.Fast_forced d -> fast_forced := (w, d) :: !fast_forced
+        | Rstate.Free -> free := w :: !free))
     candidates;
   let base_val =
     {

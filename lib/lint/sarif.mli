@@ -1,7 +1,6 @@
 (** SARIF 2.1.0 rendering of a lint report, for CI code-scanning upload.
 
-    The document is a single line, byte-identical across runs and across
-    --jobs values: rules are the sorted set of rule ids that occur, results
+    The document is a single line, byte-identical across runs: rules are the sorted set of rule ids that occur, results
     are sorted by {!Finding.compare}, and allowlisted findings appear with
     a non-empty [suppressions] array (consumers hide them; auditors can
     still see the escape surface). *)

@@ -1,11 +1,10 @@
 (** Per-file analysis summaries and the cross-file link phase.
 
-    Phase 1 (parallelisable): {!of_structure} harvests one file's type
-    declarations (R2), payload constructor sets + dispatch sites (R7), and
-    call-graph edges (R5).  Link (sequential): {!link} folds every file's
-    summary, in sorted file order, into the {!linked} environment phase 2
-    threads through the per-file checks.  Both halves are pure, which is
-    what pins --jobs N output byte-identical to --jobs 1. *)
+    Phase 1: {!of_structure} harvests one file's type declarations (R2),
+    payload constructor sets + dispatch sites (R7), and call-graph edges
+    (R5).  Link: {!link} folds every file's summary, in sorted file order,
+    into the {!linked} environment phase 2 threads through the per-file
+    checks.  Both halves are pure functions of their inputs. *)
 
 type file = {
   f_module : string;

@@ -14,9 +14,10 @@
    associatively in task order, mirroring [Registry.merge], so a
    [--jobs N] profile aggregates exactly like the metrics registry does.
 
-   Profiler output always rides a separate channel (BENCH_profile.json,
-   [--profile FILE]) — never the byte-pinned sweep/obs/metrics reports —
-   because wall-clock durations are not deterministic. *)
+   Profiler output always rides a separate channel ([--profile FILE], or
+   the info-only [sweep.profiled_*] sections of BENCH.json) — never the
+   byte-pinned sweep/obs/metrics reports — because wall-clock durations
+   are not deterministic. *)
 
 type node = {
   n_path : string;

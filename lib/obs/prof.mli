@@ -11,8 +11,9 @@
     Parallel aggregation mirrors [Registry.merge]: wrap each task in
     {!with_task} and fold the returned snapshots in task order with
     {!merge}.  Profiler output must ride its own channel ([--profile
-    FILE], BENCH_profile.json) — wall time is not deterministic, so it
-    must never leak into byte-pinned reports. *)
+    FILE], or the info-only [sweep.profiled_*] sections of BENCH.json) —
+    wall time is not deterministic, so it must never leak into byte-pinned
+    reports. *)
 
 type t
 

@@ -6,40 +6,14 @@
     ([2f + c - 2n >= 1], §3.3.1 requirement (ii)); the typical setting used
     throughout the paper is [n = 5, c = 3, f = 4].
 
-    {!safe_value} implements the collision-recovery rule of Fast Paxos
-    (Phase2Start / ProvedSafe): from Phase1b responses of a classic quorum,
-    find the unique value that {e may} have been chosen by a fast quorum and
-    therefore must be re-proposed. *)
+    The collision-recovery rule built on these sizes (Fast Paxos
+    Phase2Start / ProvedSafe) is {!Mdcc_core.Rstate.proved_safe}. *)
 
 val classic_size : n:int -> int
 
 val fast_size : n:int -> int
 (** Smallest [f] satisfying the fast-quorum intersection requirement given
     the classic size for the same [n]. *)
-
-type 'v vote = { acceptor : int; ballot : Ballot.t; value : 'v }
-(** The highest-ballot acceptance an acceptor reported in Phase1b. *)
-
-val safe_value :
-  n:int -> quorum_size:int -> equal:('v -> 'v -> bool) -> 'v vote list -> 'v option
-(** [safe_value ~n ~quorum_size ~equal votes] — [votes] are the (at most one
-    per acceptor) highest-numbered acceptances reported by the responding
-    classic quorum of [quorum_size] acceptors (acceptors that accepted
-    nothing yet contribute no vote).
-    Returns [Some v] if [v] must be proposed next:
-    {ul
-    {- if the highest reported ballot is classic, its value (ordinary Paxos
-       Phase 2 rule);}
-    {- if it is fast, the value [v] whose voter set could still intersect
-       every fast quorum, i.e. [|voters v| >= f - (n - |Q|)] where [Q] is the
-       responding quorum.  At most one value can qualify.}}
-    [None] means no value was possibly chosen: the recovering master is free
-    to propose anything. *)
-
-val majority_reached : n:int -> int -> bool
-(** [majority_reached ~n k]: has a classic quorum of acks been collected? *)
-
-val fast_reached : n:int -> int -> bool
 
 val fast_impossible : n:int -> acks:int -> rejects:int -> bool
 (** With [acks] positive and [rejects] negative responses so far out of [n],

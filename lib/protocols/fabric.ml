@@ -58,9 +58,7 @@ let storage_node_ids t = List.init (Array.length t.stores) Fun.id
 
 let partition t key = Key.hash key mod t.partitions
 
-let replicas t key =
-  let p = partition t key in
-  List.init t.dcs (fun dc -> (dc * t.partitions) + p)
+let replicas t key = Mdcc_core.Cluster.replicas_fn ~dcs:t.dcs ~partitions:t.partitions key
 
 let app_base t = t.dcs * t.partitions
 

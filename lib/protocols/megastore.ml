@@ -178,8 +178,6 @@ let create ~fabric ?(master_dc = Mdcc_sim.Topology.us_west) () =
 
 let log_length t = t.next_pos
 
-let queue_length t = Queue.length t.queue
-
 let harness t =
   {
     Harness.name = "Megastore*";

@@ -27,7 +27,4 @@ val submit : t -> dc:int -> Txn.t -> (Txn.outcome -> unit) -> unit
 val log_length : t -> int
 (** Number of log positions decided so far. *)
 
-val queue_length : t -> int
-(** Transactions waiting for the log at the master (diagnostics). *)
-
 val harness : t -> Harness.t

@@ -84,8 +84,6 @@ let create engine topo ?(drop_probability = 0.0) ?(jitter_sigma = 0.05) () =
 
 let set_meter t m = t.meter <- Some m
 
-let clear_meter t = t.meter <- None
-
 let engine t = t.engine
 
 let topology t = t.topo
@@ -165,8 +163,6 @@ let fail_node t node = t.failed.(node) <- true
 
 let recover_node t node = t.failed.(node) <- false
 
-let is_failed t node = t.failed.(node)
-
 let fail_dc t dc = List.iter (fail_node t) (Topology.nodes_in_dc t.topo dc)
 
 let recover_dc t dc = List.iter (recover_node t) (Topology.nodes_in_dc t.topo dc)
@@ -186,8 +182,6 @@ let base_drop_probability t = t.base_drop_probability
 let set_latency_factor t f =
   if f <= 0.0 then invalid_arg "Network.set_latency_factor";
   t.latency_factor <- f
-
-let latency_factor t = t.latency_factor
 
 let heal_all t =
   Array.fill t.failed 0 (Array.length t.failed) false;

@@ -58,7 +58,6 @@ val broadcast :
 
 val fail_node : t -> Topology.node_id -> unit
 val recover_node : t -> Topology.node_id -> unit
-val is_failed : t -> Topology.node_id -> bool
 
 val fail_dc : t -> int -> unit
 (** Fail every node of a data center. *)
@@ -72,8 +71,6 @@ val cut_link : t -> src:Topology.node_id -> dst:Topology.node_id -> unit
     cannot express — a node that can send but not receive, or vice versa. *)
 
 val heal_link : t -> src:Topology.node_id -> dst:Topology.node_id -> unit
-
-val link_cut : t -> src:Topology.node_id -> dst:Topology.node_id -> bool
 
 val set_drop_probability : t -> float -> unit
 (** Change the random-drop probability of a {e live} network (the chaos
@@ -89,8 +86,6 @@ val set_latency_factor : t -> float -> unit
 (** Multiply every subsequent latency draw by this factor (default 1.0) —
     the nemesis' latency surge.  Raises [Invalid_argument] if [<= 0]. *)
 
-val latency_factor : t -> float
-
 val heal_all : t -> unit
 (** Recover every node, heal every cut link, and restore the create-time
     drop probability and a latency factor of 1.0.  In-flight messages that
@@ -104,8 +99,6 @@ val stats : t -> stats
 
 val set_meter : t -> meter -> unit
 (** Install the (single) observability meter.  Replaces any previous one. *)
-
-val clear_meter : t -> unit
 
 val with_trace_context : string option -> (unit -> 'a) -> 'a
 (** [with_trace_context (Some txid) f] runs [f] with the causal trace

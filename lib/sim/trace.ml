@@ -63,10 +63,3 @@ let emit engine ~tag fmt =
       if s.flag || s.event_sink <> None then
         record { at = Engine.now engine; source = tag; body = msg })
     fmt
-
-let emit_at ~at ~tag fmt =
-  Printf.ksprintf
-    (fun msg ->
-      let s = state () in
-      if s.flag || s.event_sink <> None then record { at; source = tag; body = msg })
-    fmt

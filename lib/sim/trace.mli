@@ -22,11 +22,6 @@ val emit : Engine.t -> tag:string -> ('a, unit, string, unit) format4 -> 'a
     tracing is enabled {e or} an event sink is installed; otherwise the
     arguments are consumed and ignored. *)
 
-val emit_at : at:float -> tag:string -> ('a, unit, string, unit) format4 -> 'a
-(** {!emit} with an explicit timestamp instead of an engine clock — the
-    entry point for non-simulated runtimes (the socket runtime stamps
-    events with its own monotonic clock). *)
-
 val render : event -> string
 (** The canonical line rendering ["[%10.2f] %-12s %s"] used by the line
     sink. *)

@@ -45,9 +45,6 @@ val lognormal : t -> mu:float -> sigma:float -> float
 (** Lognormal sample: [exp (mu + sigma * z)] for a standard normal [z].  Used
     for WAN latency jitter, whose empirical distribution is heavy-tailed. *)
 
-val gaussian : t -> float
-(** Standard normal sample (Box–Muller). *)
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

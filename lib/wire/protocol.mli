@@ -52,7 +52,6 @@ type hit = { h_key : string; h_flags : int; h_data : string; h_cas : int }
 (** One [VALUE] answer; [h_cas] is the MDCC record version. *)
 
 val level_of_string : string -> level option
-val level_name : level -> string
 
 (** {1 Response rendering}
 

@@ -2,6 +2,7 @@ open Mdcc_storage
 module Loop = Mdcc_runtime_unix.Loop
 module Runtime = Mdcc_core.Runtime
 module Config = Mdcc_core.Config
+module Cluster = Mdcc_core.Cluster
 module Coordinator = Mdcc_core.Coordinator
 module Storage_node = Mdcc_core.Storage_node
 module Session = Mdcc_core.Session
@@ -83,16 +84,11 @@ let create ?(seed = 1) ?(nodes = 5) ?(partitions = 1) ?(table = "kv") ?(addr = "
   let schema = Mdcc_storage.Schema.create [ { name = table; bounds = []; master_dc = 0 } ] in
   let observ = Obs.create () in
   let ctx = Ctx.make ~obs:observ ~local_nodes:(List.init partitions Fun.id) () in
-  (* Key routing: the key's partition replica in every DC — the exact hash
-     the simulated cluster's coordinator routes by. *)
+  (* Key routing: the simulated cluster's own layout functions. *)
   let partition_of key = Key.hash key mod partitions in
-  let replicas key =
-    let p = partition_of key in
-    List.init nodes (fun dc -> (dc * partitions) + p)
-  in
+  let replicas = Cluster.replicas_fn ~dcs:nodes ~partitions in
   let master_of key =
-    let master_dc = Hashtbl.hash (Key.to_string key ^ "#master") mod nodes in
-    (master_dc * partitions) + partition_of key
+    (Cluster.default_master_dc ~dcs:nodes key * partitions) + partition_of key
   in
   let storage =
     List.init storage_n (fun i ->

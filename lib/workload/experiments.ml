@@ -65,10 +65,9 @@ let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 (* Run [f ~obs] once per list element, each against a fresh obs handle,
    across the pool (sequential when [pool] is absent).  Afterwards every
    handle is folded into the calling domain's ambient obs {e in task
-   order}, so the ambient metrics export ([--metrics-out],
-   [bench_metrics.json]) is identical whether the tasks ran on one domain
-   or eight.  Tasks must not print; drivers print from the merged results
-   after the batch. *)
+   order}, so the ambient metrics export ([--metrics-out FILE]) is
+   identical whether the tasks ran on one domain or eight.  Tasks must not
+   print; drivers print from the merged results after the batch. *)
 let par_map ?pool xs ~f =
   let tasks = List.map (fun x -> (x, Obs.create ())) xs in
   let run (x, obs) = f ~obs x in

@@ -115,20 +115,6 @@ let test_harness_of_mdcc_round_robin () =
   | Some (v, _) -> Alcotest.(check int) "all applied" 5 (Value.get_int v "n")
   | None -> Alcotest.fail "row missing"
 
-let test_cstruct_empty_lub_glb () =
-  let module C = Mdcc_paxos.Cstruct.Make (struct
-    type t = string
-
-    let id x = x
-
-    let commutes _ _ = false
-  end) in
-  Alcotest.(check bool) "lub with empty" true (C.lub C.empty C.empty = Some C.empty);
-  let a = C.append C.empty "x" in
-  Alcotest.(check bool) "glb with empty is empty" true (C.equal (C.glb a C.empty) C.empty);
-  Alcotest.(check bool) "lub empty/a = a" true
-    (match C.lub C.empty a with Some u -> C.equal u a | None -> false)
-
 let test_session_watermark_initial () =
   let engine = Engine.create ~seed:3 in
   let config = Mdcc_core.Config.make ~replication:5 () in
@@ -152,6 +138,5 @@ let suite =
     Alcotest.test_case "value pp & key containers" `Quick test_value_pp_and_key_containers;
     Alcotest.test_case "update predicates & pp" `Quick test_update_predicates_and_pp;
     Alcotest.test_case "harness round-robin" `Quick test_harness_of_mdcc_round_robin;
-    Alcotest.test_case "cstruct empty lub/glb" `Quick test_cstruct_empty_lub_glb;
     Alcotest.test_case "session watermark initial" `Quick test_session_watermark_initial;
   ]

@@ -1,5 +1,5 @@
-(* Tests for ballots, quorum arithmetic, the Fast Paxos safe-value rule and
-   Generalized Paxos cstructs. *)
+(* Tests for ballots and quorum arithmetic.  The recovery rule built on
+   them is tested in t_rstate. *)
 
 open Mdcc_paxos
 
@@ -52,144 +52,11 @@ let test_fast_impossible () =
     (Quorum.fast_impossible ~n:5 ~acks:4 ~rejects:1);
   Alcotest.(check bool) "0/0 open" false (Quorum.fast_impossible ~n:5 ~acks:0 ~rejects:0)
 
-let fast0 = Ballot.initial_fast
-
-let vote a v = { Quorum.acceptor = a; ballot = fast0; value = v }
-
-let test_safe_value_classic_wins () =
-  let c2 = Ballot.classic ~number:2 ~proposer:1 in
-  let votes = [ vote 1 "x"; { Quorum.acceptor = 2; ballot = c2; value = "y" }; vote 3 "x" ] in
-  Alcotest.(check (option string)) "classic ballot's value forced" (Some "y")
-    (Quorum.safe_value ~n:5 ~quorum_size:3 ~equal:String.equal votes)
-
-let test_safe_value_fast_threshold () =
-  (* Paper's example (§3.3.1): quorum of responses where one value has
-     enough support to have possibly been fast-chosen. *)
-  let votes = [ vote 2 "v1->v2"; vote 3 "v1->v3"; vote 5 "v1->v2" ] in
-  Alcotest.(check (option string)) "v1->v2 must be proposed" (Some "v1->v2")
-    (Quorum.safe_value ~n:5 ~quorum_size:3 ~equal:String.equal votes);
-  (* With only one supporter each and quorum 3 of 5, threshold is
-     4 - (5 - 3) = 2: nothing is anchored. *)
-  let votes2 = [ vote 2 "a"; vote 3 "b" ] in
-  Alcotest.(check (option string)) "no anchored value" None
-    (Quorum.safe_value ~n:5 ~quorum_size:3 ~equal:String.equal votes2)
-
-let test_safe_value_empty () =
-  Alcotest.(check (option string)) "no votes: free" None
-    (Quorum.safe_value ~n:5 ~quorum_size:3 ~equal:String.equal [])
-
-(* --- cstructs ---------------------------------------------------------- *)
-
-module Cmd = struct
-  type t = { id : string; group : char }
-
-  let id c = c.id
-
-  (* Commands commute unless they share a group (like two physical updates
-     on the same record). *)
-  let commutes a b = a.group <> b.group
-end
-
-module C = Cstruct.Make (Cmd)
-
-let cmd id group = { Cmd.id; group }
-
-let test_cstruct_append_dedup () =
-  let c = C.append (C.append C.empty (cmd "a" 'x')) (cmd "a" 'x') in
-  Alcotest.(check int) "dedup" 1 (C.size c);
-  Alcotest.(check bool) "mem" true (C.mem c "a");
-  Alcotest.(check bool) "not mem" false (C.mem c "b")
-
-let test_cstruct_leq () =
-  let a = C.append C.empty (cmd "a" 'x') in
-  let ab = C.append a (cmd "b" 'x') in
-  let ba = C.append (C.append C.empty (cmd "b" 'x')) (cmd "a" 'x') in
-  Alcotest.(check bool) "empty leq anything" true (C.leq C.empty ab);
-  Alcotest.(check bool) "prefix leq" true (C.leq a ab);
-  Alcotest.(check bool) "not leq (missing)" false (C.leq ab a);
-  Alcotest.(check bool) "order matters for conflicting" false (C.leq ab ba);
-  (* commuting commands: order does not matter *)
-  let ay = C.append a (cmd "c" 'y') in
-  let ya = C.append (C.append C.empty (cmd "c" 'y')) (cmd "a" 'x') in
-  Alcotest.(check bool) "commuting reorder leq" true (C.leq ay ya && C.leq ya ay);
-  Alcotest.(check bool) "equal as cstructs" true (C.equal ay ya)
-
-let test_cstruct_lub_compatible () =
-  let a = C.append C.empty (cmd "a" 'x') in
-  let b = C.append C.empty (cmd "b" 'y') in
-  match C.lub a b with
-  | None -> Alcotest.fail "commuting cstructs must be compatible"
-  | Some u ->
-    Alcotest.(check bool) "upper bound of a" true (C.leq a u);
-    Alcotest.(check bool) "upper bound of b" true (C.leq b u);
-    Alcotest.(check int) "union size" 2 (C.size u)
-
-let test_cstruct_lub_incompatible () =
-  let ab = C.append (C.append C.empty (cmd "a" 'x')) (cmd "b" 'x') in
-  let ba = C.append (C.append C.empty (cmd "b" 'x')) (cmd "a" 'x') in
-  Alcotest.(check bool) "conflicting orders incompatible" false (C.compatible ab ba)
-
-let test_cstruct_glb () =
-  let abc =
-    C.append (C.append (C.append C.empty (cmd "a" 'x')) (cmd "b" 'y')) (cmd "c" 'z')
-  in
-  let acd = C.append (C.append (C.append C.empty (cmd "a" 'x')) (cmd "c" 'z')) (cmd "d" 'w') in
-  let g = C.glb abc acd in
-  Alcotest.(check bool) "glb leq left" true (C.leq g abc);
-  Alcotest.(check bool) "glb leq right" true (C.leq g acd);
-  Alcotest.(check bool) "contains common a" true (C.mem g "a");
-  Alcotest.(check bool) "contains common c" true (C.mem g "c");
-  Alcotest.(check bool) "no d" false (C.mem g "d")
-
-(* Property: lub, when defined, is an upper bound; glb is a lower bound. *)
-let gen_cstruct =
-  QCheck.Gen.(
-    let cmd_gen =
-      map2 (fun i g -> cmd (Printf.sprintf "c%d" i) g) (int_range 0 8) (oneofl [ 'x'; 'y'; 'z' ])
-    in
-    map (List.fold_left C.append C.empty) (list_size (int_range 0 6) cmd_gen))
-
-let arb_cstruct = QCheck.make gen_cstruct
-
-let prop_lub_upper_bound =
-  QCheck.Test.make ~name:"lub is an upper bound" ~count:300 (QCheck.pair arb_cstruct arb_cstruct)
-    (fun (a, b) ->
-      match C.lub a b with None -> true | Some u -> C.leq a u && C.leq b u)
-
-let prop_glb_lower_bound =
-  QCheck.Test.make ~name:"glb is a lower bound" ~count:300 (QCheck.pair arb_cstruct arb_cstruct)
-    (fun (a, b) ->
-      let g = C.glb a b in
-      C.leq g a && C.leq g b)
-
-let prop_leq_reflexive_transitive =
-  QCheck.Test.make ~name:"leq reflexive & transitive" ~count:300
-    (QCheck.triple arb_cstruct arb_cstruct arb_cstruct) (fun (a, b, c) ->
-      C.leq a a && if C.leq a b && C.leq b c then C.leq a c else true)
-
-let prop_append_extends =
-  QCheck.Test.make ~name:"append extends (a leq a•c)" ~count:300
-    (QCheck.pair arb_cstruct (QCheck.make (QCheck.Gen.return (cmd "fresh" 'x'))))
-    (fun (a, c) -> C.leq a (C.append a c))
-
 let suite =
   [
     Alcotest.test_case "ballot ordering" `Quick test_ballot_ordering;
     Alcotest.test_case "ballot next_classic" `Quick test_ballot_next_classic;
     Alcotest.test_case "quorum sizes" `Quick test_quorum_sizes;
     Alcotest.test_case "fast_impossible" `Quick test_fast_impossible;
-    Alcotest.test_case "safe_value: classic wins" `Quick test_safe_value_classic_wins;
-    Alcotest.test_case "safe_value: fast threshold (paper example)" `Quick
-      test_safe_value_fast_threshold;
-    Alcotest.test_case "safe_value: empty" `Quick test_safe_value_empty;
-    Alcotest.test_case "cstruct append/dedup" `Quick test_cstruct_append_dedup;
-    Alcotest.test_case "cstruct leq" `Quick test_cstruct_leq;
-    Alcotest.test_case "cstruct lub compatible" `Quick test_cstruct_lub_compatible;
-    Alcotest.test_case "cstruct lub incompatible" `Quick test_cstruct_lub_incompatible;
-    Alcotest.test_case "cstruct glb" `Quick test_cstruct_glb;
     QCheck_alcotest.to_alcotest prop_quorum_intersection;
-    QCheck_alcotest.to_alcotest prop_lub_upper_bound;
-    QCheck_alcotest.to_alcotest prop_glb_lower_bound;
-    QCheck_alcotest.to_alcotest prop_leq_reflexive_transitive;
-    QCheck_alcotest.to_alcotest prop_append_extends;
   ]

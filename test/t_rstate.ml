@@ -1,5 +1,6 @@
 (* Unit and property tests of the per-record decision logic: SetCompatible,
-   the one-outstanding-option rule, and quorum demarcation (§3.4.2). *)
+   the one-outstanding-option rule, quorum demarcation (§3.4.2) and the
+   ProvedSafe collision-recovery rule (§3.3.1). *)
 
 open Mdcc_storage
 module Rstate = Mdcc_core.Rstate
@@ -207,6 +208,55 @@ let prop_escrow_safety =
       in
       base + neg >= 0)
 
+(* --- ProvedSafe (collision recovery, §3.3.1) ------------------------- *)
+
+let pp_recovery_class ppf = function
+  | Rstate.Classic_voted (d, b) ->
+    Format.fprintf ppf "classic %a@%a" Woption.pp_decision d Ballot.pp b
+  | Rstate.Fast_forced d -> Format.fprintf ppf "fast %a" Woption.pp_decision d
+  | Rstate.Free -> Format.pp_print_string ppf "free"
+
+let recovery_class = Alcotest.testable pp_recovery_class ( = )
+
+let fast0 = Ballot.initial_fast
+
+(* n = 5, qf = 4, a Phase1b quorum of 3: the fast threshold is
+   4 - (5 - 3) = 2. *)
+let proved_safe votes = Rstate.proved_safe ~n:5 ~qf:4 ~quorum_size:3 votes
+
+let test_proved_safe_classic_wins () =
+  let c1 = Ballot.classic ~number:1 ~proposer:1 and c2 = Ballot.classic ~number:2 ~proposer:1 in
+  (* Two fast accepts would meet the threshold, but a classic vote
+     outranks them, and the highest classic ballot outranks a lower one. *)
+  let votes =
+    [
+      (Woption.Accepted, fast0);
+      (Woption.Rejected, c2);
+      (Woption.Accepted, fast0);
+      (Woption.Accepted, c1);
+    ]
+  in
+  Alcotest.check recovery_class "highest classic ballot's decision forced"
+    (Rstate.Classic_voted (Woption.Rejected, c2))
+    (proved_safe votes)
+
+let test_proved_safe_fast_threshold () =
+  (* Paper's example (§3.3.1): acceptors 2 and 5 voted for v1->v2 and
+     acceptor 3 for v1->v3.  Each option is its own instance, so the
+     v1->v2 option has two accepts and the v1->v3 option two rejects. *)
+  let v2 = [ (Woption.Accepted, fast0); (Woption.Rejected, fast0); (Woption.Accepted, fast0) ] in
+  let v3 = [ (Woption.Rejected, fast0); (Woption.Accepted, fast0); (Woption.Rejected, fast0) ] in
+  Alcotest.check recovery_class "v1->v2 must be accepted" (Rstate.Fast_forced Woption.Accepted)
+    (proved_safe v2);
+  Alcotest.check recovery_class "v1->v3 must be rejected" (Rstate.Fast_forced Woption.Rejected)
+    (proved_safe v3);
+  (* One supporter each: neither decision is anchored. *)
+  Alcotest.check recovery_class "no anchored decision" Rstate.Free
+    (proved_safe [ (Woption.Accepted, fast0); (Woption.Rejected, fast0) ])
+
+let test_proved_safe_empty () =
+  Alcotest.check recovery_class "no votes: free" Rstate.Free (proved_safe [])
+
 let suite =
   [
     Alcotest.test_case "physical version check" `Quick test_physical_version_check;
@@ -219,6 +269,9 @@ let suite =
     Alcotest.test_case "quorum demarcation limit" `Quick test_quorum_demarcation_limit;
     Alcotest.test_case "demarcation formulas" `Quick test_demarcation_formulas;
     Alcotest.test_case "pending state helpers" `Quick test_pending_state_helpers;
+    Alcotest.test_case "proved_safe: classic wins" `Quick test_proved_safe_classic_wins;
+    Alcotest.test_case "proved_safe: paper example" `Quick test_proved_safe_fast_threshold;
+    Alcotest.test_case "proved_safe: empty" `Quick test_proved_safe_empty;
     QCheck_alcotest.to_alcotest prop_demarcation_local_safety;
     QCheck_alcotest.to_alcotest prop_escrow_safety;
   ]

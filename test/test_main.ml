@@ -4,7 +4,6 @@ let () =
       ("util", T_util.suite);
       ("sim", T_sim.suite);
       ("paxos", T_paxos.suite);
-      ("consensus", T_consensus.suite);
       ("storage", T_storage.suite);
       ("rstate", T_rstate.suite);
       ("protocol", T_protocol.suite);
