@@ -8,8 +8,8 @@
    Sections (each a fixed workload; scales are constants, not flags):
    - events: event-queue push/pop and cancel churn, Engine.run dispatch
      and Network.send ping-pong, 300k ops each — the DES hot loop;
-   - micro:  three protocol-critical data-structure cases (event heap,
-     store delta apply, rstate demarcation);
+   - micro:  four protocol-critical cases (event heap, store delta apply,
+     rstate demarcation, one dangling-transaction scan);
    - sweep:  the full chaos scenario matrix x 50 seeds, sequentially and on
      4 domains, asserting byte-identical output, then both legs again
      under the per-phase profiler;
@@ -173,11 +173,46 @@ let demarcation =
       (Mdcc_core.Rstate.evaluate ~bounds ~demarcation:(`Quorum (5, 4)) valuation ~accepted:[]
          (Storage.Update.Delta [ ("stock", -3) ]))
 
+(* One storage node holding 10,000 settled records and a single pending
+   option whose app-server died: a scan's cost must follow the one option,
+   not the records. *)
+let dangling_scan () =
+  let module Cluster = Mdcc_core.Cluster in
+  let module Coordinator = Mdcc_core.Coordinator in
+  let module Storage_node = Mdcc_core.Storage_node in
+  let schema =
+    Storage.Schema.create [ { Storage.Schema.name = "t"; bounds = []; master_dc = 0 } ]
+  in
+  let key i = Storage.Key.make ~table:"t" ~id:(string_of_int i) in
+  let engine = Engine.create ~seed:5 in
+  let cluster =
+    Cluster.create ~engine ~spec:Cluster.Spec.default
+      ~config:(Mdcc_core.Config.make ~replication:5 ())
+      ~schema ()
+  in
+  Cluster.load cluster (List.init 10_000 (fun i -> (key i, Storage.Value.empty)));
+  (* The anti-entropy sweep touches, and so settles, every loaded record. *)
+  Cluster.sync_all cluster;
+  Engine.run engine;
+  let coordinator = Cluster.coordinator cluster ~dc:0 ~rank:0 in
+  Coordinator.submit coordinator
+    (Storage.Txn.make ~id:"dangling" ~updates:[ (key 0, Storage.Update.Delta [ ("x", 1) ]) ])
+    ignore;
+  ignore
+    (Engine.schedule engine ~after:20.0 (fun () ->
+         Network.fail_node (Cluster.network cluster) (Coordinator.node_id coordinator)));
+  (* Short of the transaction timeout: every scan finds the option fresh. *)
+  Engine.run ~until:(Engine.now engine +. 500.0) engine;
+  let node = List.hd (Cluster.storage_nodes cluster) in
+  assert (Storage_node.pending_options node = 1);
+  fun () -> Storage_node.scan_dangling node
+
 let micro () =
   [
     micro_case "event_heap" event_heap;
     micro_case "store_apply" store_apply;
     micro_case "rstate_demarcation" demarcation;
+    micro_case "dangling_scan" (dangling_scan ());
   ]
 
 (* ---------------- sweep: the parallel chaos sweep ---------------- *)

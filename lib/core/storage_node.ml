@@ -2,6 +2,7 @@ open Mdcc_storage
 open Mdcc_paxos
 module Rng = Mdcc_util.Rng
 module Table = Mdcc_util.Table
+module Prof = Mdcc_obs.Prof
 
 (* A classic Phase 2 round this master is running for one option. *)
 type round = {
@@ -51,6 +52,9 @@ type t = {
   master_of : Key.t -> int;
   store : Store.t;
   records : Rstate.t Key.Tbl.t;
+  holders : Rstate.t Key.Tbl.t;
+      (* the records whose [pending] list is non-empty: the dangling scan's
+         whole domain, kept exact by [add_pending]/[remove_pending] *)
   visible : (string, bool) Hashtbl.t;  (* "txid#key" -> txn committed? *)
   decided_log : (string, (Txn.id * bool) list) Hashtbl.t;
       (* key -> visibility outcomes known at this replica.  A visibility is
@@ -119,6 +123,18 @@ let rebase_of t key =
     exists = row.Store.exists;
     included = applied_of t key;
   }
+
+(* Every pending vote is added and removed through these two, so a record
+   is in [t.holders] exactly while its [pending] list is non-empty. *)
+let add_pending t (rs : Rstate.t) p =
+  if rs.Rstate.pending = [] then Key.Tbl.add t.holders rs.Rstate.key rs;
+  Rstate.add_pending rs p
+
+let remove_pending t (rs : Rstate.t) txid =
+  if rs.Rstate.pending <> [] then begin
+    Rstate.remove_pending rs txid;
+    if rs.Rstate.pending = [] then Key.Tbl.remove t.holders rs.Rstate.key
+  end
 
 let mstate t key =
   match Key.Tbl.find_opt t.masters key with
@@ -200,7 +216,7 @@ let fast_propose t (w : Woption.t) =
           Rstate.evaluate_why ~bounds:(bounds t key) ~demarcation:(`Quorum (n, qf)) row
             ~accepted:(Rstate.accepted rs) w.Woption.update
         in
-        Rstate.add_pending rs
+        add_pending t rs
           {
             Rstate.woption = w;
             decision;
@@ -243,7 +259,7 @@ let apply_rebase t key (rb : Messages.rebase) =
       (fun (txid, _update) ->
         if not (Hashtbl.mem t.visible (vkey txid key)) then begin
           Hashtbl.replace t.visible (vkey txid key) true;
-          Rstate.remove_pending rs txid
+          remove_pending t rs txid
         end;
         record_decided t key txid true)
       rb.Messages.included
@@ -261,7 +277,7 @@ let acceptor_phase2a t key ballot (w : Woption.t) decision classic_until rebase 
          final, answer it instead of the proposer's. *)
       (true, ballot, if committed then Woption.Accepted else Woption.Rejected)
     | None ->
-      Rstate.add_pending rs { Rstate.woption = w; decision; ballot; proposed_at = now t };
+      add_pending t rs { Rstate.woption = w; decision; ballot; proposed_at = now t };
       emit t
         (History.Voted { txid = w.Woption.txid; key; route = `Classic; decision; reason = None });
       (true, ballot, decision)
@@ -290,7 +306,7 @@ let visibility t txid key (update : Update.t) committed =
     Hashtbl.replace t.visible (vkey txid key) committed;
     record_decided t key txid committed;
     let rs = rstate t key in
-    Rstate.remove_pending rs txid;
+    remove_pending t rs txid;
     if committed then begin
       let row = Store.ensure t.store key in
       let apply_it =
@@ -877,11 +893,15 @@ let txn_recovery_status t txid key status acceptor =
       evaluate_txn_recovery t tr
     end
 
-(* Periodic scan for pending options whose coordinator went silent.  The
-   record's master reacts after one timeout; other replicas after three, so
-   a single node usually drives each recovery.  Candidates are collected
-   first: starting a recovery mutates [t.records]. *)
+(* Scan for pending options whose coordinator went silent.  The record's
+   master reacts after one timeout; other replicas after three, so a single
+   node usually drives each recovery.  Only [t.holders] is walked, so the
+   cost follows the pending options, not the records ever touched.
+   Candidates are collected first: starting a recovery mutates the pending
+   lists. *)
 let scan_dangling t =
+  Prof.span "storage.dangling_scan" @@ fun () ->
+  Prof.count ~by:(Key.Tbl.length t.holders) "dangling.candidates";
   let deadline_factor key = if t.master_of key = t.id then 1.0 else 3.0 in
   let stale = ref [] in
   Key.Tbl.sorted_iter
@@ -894,7 +914,7 @@ let scan_dangling t =
             && not (Hashtbl.mem t.recoveries p.Rstate.woption.Woption.txid)
           then stale := p.Rstate.woption :: !stale)
         rs.Rstate.pending)
-    t.records;
+    t.holders;
   List.iter (start_txn_recovery t) !stale
 
 (* ------------------------------------------------------------------ *)
@@ -934,7 +954,7 @@ let sync_repair t ~src key (theirs : (Txn.id * Update.t) list) =
         let row = Store.ensure t.store key in
         Hashtbl.replace t.visible (vkey txid key) true;
         record_decided t key txid true;
-        Rstate.remove_pending rs txid;
+        remove_pending t rs txid;
         Store.apply t.store key update;
         Rstate.mark_applied rs txid update;
         incr merged;
@@ -1057,6 +1077,7 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.de
       master_of;
       store = Store.create schema;
       records = Key.Tbl.create 1024;
+      holders = Key.Tbl.create 64;
       visible = Hashtbl.create 4096;
       decided_log = Hashtbl.create 1024;
       masters = Key.Tbl.create 256;
@@ -1080,11 +1101,8 @@ let load t rows =
       row.Store.exists <- true)
     rows
 
-let pending_options t =
-  List.fold_left
-    (fun acc (_, rs) -> acc + List.length rs.Rstate.pending)
-    0
-    (Key.Tbl.sorted_bindings t.records)
+(* Counted over every record, not [t.holders], so it checks the index. *)
+let pending_options t = Key.Tbl.sum (fun rs -> List.length rs.Rstate.pending) t.records
 
 (* Probe [targets key] (other than ourselves) with our version and applied
    digest of every key we hold; stale keys come back via Catchup.  Targets

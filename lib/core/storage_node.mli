@@ -61,7 +61,8 @@ val load : t -> (Key.t * Value.t) list -> unit
 (** Bulk-load committed rows (version 1) — experiment setup, no protocol. *)
 
 val pending_options : t -> int
-(** Outstanding (undecided-visibility) options across all records. *)
+(** Outstanding (undecided-visibility) options, counted over every record
+    the node holds — independently of the index {!scan_dangling} walks. *)
 
 val sync_with_masters : t -> unit
 (** Anti-entropy sweep: probe the master of every key this node holds with
@@ -78,6 +79,18 @@ val sync_with_peers : t -> unit
     the master-directed sweep cannot repair.  Part of the
     restart-with-recovery path ({!Cluster.restart_node}). *)
 
+val scan_dangling : t -> unit
+(** One dangling-transaction scan: start a recovery for every pending
+    option older than the transaction timeout (one timeout at the record's
+    master, three elsewhere) that no recovery here is already driving.  The
+    node indexes the records holding pending options, so a scan costs in
+    proportion to the pending options, not to the records the node has
+    stored.  Recoveries start in descending key order, and within a record
+    in reverse arrival order.  Runs inside a [storage.dangling_scan]
+    profiler span that counts the records it walks as
+    [dangling.candidates]. *)
+
 val start_maintenance : t -> unit
-(** Arm the periodic dangling-transaction scan (call after setup; scans run
-    every [config.dangling_scan_every] ms forever). *)
+(** Arm the periodic dangling-transaction scan (call after setup;
+    {!scan_dangling} runs every [config.dangling_scan_every] ms forever,
+    each time at a cost proportional to the pending options). *)

@@ -37,4 +37,7 @@ module Tbl = struct
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
   let sorted_iter f t = List.iter (fun (k, v) -> f k v) (sorted_bindings t)
+
+  (* An integer sum is the same in every walk order, so it needs no sort. *)
+  let sum f t = fold (fun _ v acc -> acc + f v) t 0
 end

@@ -26,4 +26,8 @@ module Tbl : sig
       replacement for [iter]/[fold] (see `mdcc_lint` rule R1). *)
 
   val sorted_iter : (key -> 'a -> unit) -> 'a t -> unit
+
+  val sum : ('a -> int) -> 'a t -> int
+  (** [sum f t] adds [f v] over every value — order-independent, so it
+      walks the table unsorted. *)
 end

@@ -10,6 +10,10 @@ module Coordinator = Mdcc_core.Coordinator
 module Storage_node = Mdcc_core.Storage_node
 module Topology = Mdcc_sim.Topology
 
+let total_pending cluster =
+  List.fold_left (fun acc n -> acc + Storage_node.pending_options n) 0
+    (Cluster.storage_nodes cluster)
+
 let test_commit_with_failed_dc () =
   (* One data center down: fast commits still possible (4 of 5 answer). *)
   let engine, cluster = make_cluster ~items:5 () in
@@ -62,41 +66,58 @@ let test_recovered_dc_catches_up_on_next_update () =
   Alcotest.(check bool) "next update commits" true (is_committed o2);
   Alcotest.(check int) "dc4 healed" 8 (stock_at cluster ~dc:4 0)
 
-let test_dangling_txn_committed_by_recovery () =
-  (* The app-server dies right after proposing: its options are accepted
-     everywhere but no Visibility ever arrives.  The dangling-transaction
-     scan must finish the commit on its behalf. *)
-  let engine, cluster =
-    make_cluster ~learn_timeout:500.0 ~txn_timeout:800.0 ~dangling_scan_every:200.0
-      ~maintenance:true ~items:5 ()
-  in
+(* Bodies of the "txn recovery start" trace lines emitted while [f] runs. *)
+let recovery_starts f =
+  let starts = ref [] in
+  Mdcc_sim.Trace.set_event_sink (fun ev ->
+      let body = ev.Mdcc_sim.Trace.body in
+      if String.starts_with ~prefix:"txn recovery start" body then starts := body :: !starts);
+  Fun.protect ~finally:Mdcc_sim.Trace.reset_event_sink f;
+  List.rev !starts
+
+(* Submit each [(id, updates)] from dc 0, then kill the app-server before
+   any vote can reach it (votes need >= 40ms). *)
+let submit_then_kill engine cluster ids_updates =
   let coordinator = Cluster.coordinator cluster ~dc:0 ~rank:0 in
-  let got = ref None in
-  Coordinator.submit coordinator
-    (Txn.make ~id:"dangling-1"
-       ~updates:
-         [
-           (item 0, Update.Physical { vread = 1; value = item_row 55 });
-           (item 1, Update.Delta [ ("stock", -5) ]);
-         ])
-    (fun o -> got := Some o);
-  (* Kill the app-server before any vote can reach it (votes need >= 40ms). *)
+  List.iter
+    (fun (id, updates) ->
+      Coordinator.submit coordinator (Txn.make ~id ~updates) (fun _ ->
+          Alcotest.failf "%s: the dead app-server heard back" id))
+    ids_updates;
   ignore
     (Engine.schedule engine ~after:20.0 (fun () ->
          Mdcc_sim.Network.fail_node (Cluster.network cluster)
-           (Coordinator.node_id coordinator)));
+           (Coordinator.node_id coordinator)))
+
+let test_dangling_txn_committed_by_recovery ~items () =
+  (* The app-server dies right after proposing: its options are accepted
+     everywhere but no Visibility ever arrives.  The dangling-transaction
+     scan must finish the commit on its behalf, however many settled
+     records (the anti-entropy sweep touches every loaded row) surround
+     the two pending options. *)
+  let engine, cluster =
+    make_cluster ~learn_timeout:500.0 ~txn_timeout:800.0 ~dangling_scan_every:200.0
+      ~maintenance:true ~items ()
+  in
+  Cluster.sync_all cluster;
+  Engine.run ~until:1_000.0 engine;
+  Alcotest.(check int) "settled: nothing pending" 0 (total_pending cluster);
+  submit_then_kill engine cluster
+    [
+      ( "dangling-1",
+        [
+          (item 0, Update.Physical { vread = 1; value = item_row 55 });
+          (item 1, Update.Delta [ ("stock", -5) ]);
+        ] );
+    ];
   Engine.run ~until:30_000.0 engine;
-  Alcotest.(check bool) "coordinator never heard back" true (!got = None);
   (* Recovery must have executed the options at the replicas. *)
   for dc = 0 to 4 do
     Alcotest.(check int) "item0 executed" 55 (stock_at cluster ~dc 0);
-    Alcotest.(check int) "item1 executed" 95 (stock_at cluster ~dc 1)
+    Alcotest.(check int) "item1 executed" 95 (stock_at cluster ~dc 1);
+    Alcotest.(check int) "item2 untouched" 100 (stock_at cluster ~dc 2)
   done;
-  let pendings =
-    List.fold_left (fun acc n -> acc + Storage_node.pending_options n) 0
-      (Cluster.storage_nodes cluster)
-  in
-  Alcotest.(check int) "no dangling options left" 0 pendings
+  Alcotest.(check int) "no dangling options left" 0 (total_pending cluster)
 
 let test_dangling_txn_never_proposed_key_aborts () =
   (* The app-server dies after proposing only ONE of two options.  No
@@ -132,11 +153,86 @@ let test_dangling_txn_never_proposed_key_aborts () =
     Alcotest.(check int) "item0 unchanged" 100 (stock_at cluster ~dc 0);
     Alcotest.(check int) "item1 unchanged" 100 (stock_at cluster ~dc 1)
   done;
-  let pendings =
-    List.fold_left (fun acc n -> acc + Storage_node.pending_options n) 0
-      (Cluster.storage_nodes cluster)
+  Alcotest.(check int) "no dangling options left" 0 (total_pending cluster)
+
+let test_decided_option_never_recovered () =
+  (* Two concurrent deltas leave two pending options on one record; both
+     commit well before the timeout.  Once the last of them is removed the
+     record must leave the scan's index: later scans walk no record and
+     start no recovery. *)
+  let engine, cluster =
+    make_cluster ~learn_timeout:500.0 ~txn_timeout:800.0 ~dangling_scan_every:200.0
+      ~maintenance:true ~items:3 ()
   in
-  Alcotest.(check int) "no dangling options left" 0 pendings
+  let outcomes = ref [] in
+  List.iter
+    (fun dc ->
+      Coordinator.submit (Cluster.coordinator cluster ~dc ~rank:0)
+        (Txn.make
+           ~id:(Printf.sprintf "decided-%d" dc)
+           ~updates:[ (item 0, Update.Delta [ ("stock", -1) ]) ])
+        (fun o -> outcomes := o :: !outcomes))
+    [ 0; 1 ];
+  let starts = ref [] in
+  let (), profile =
+    Mdcc_obs.Prof.with_task (fun () ->
+        starts := recovery_starts (fun () -> Engine.run ~until:20_000.0 engine))
+  in
+  Alcotest.(check int) "both decided" 2 (List.length !outcomes);
+  Alcotest.(check bool) "both committed" true (List.for_all is_committed !outcomes);
+  Alcotest.(check int) "applied" 98 (stock_at cluster ~dc:3 0);
+  Alcotest.(check (list string)) "no txn recovery started" [] !starts;
+  Alcotest.(check int) "nothing pending" 0 (total_pending cluster);
+  let scans =
+    List.fold_left
+      (fun acc (ph : Mdcc_obs.Prof.phase) ->
+        if String.equal ph.ph_path "storage.dangling_scan" then acc + ph.ph_count else acc)
+      0 profile.Mdcc_obs.Prof.sn_phases
+  in
+  (* 5 nodes x one scan per 200ms over 20s, minus the first period. *)
+  Alcotest.(check bool) "scans ran" true (scans >= 5 * 90);
+  (* Only the first scans can see the options in flight; once decided the
+     index must be empty, so the total stays at a handful. *)
+  let candidates =
+    Option.value ~default:0
+      (List.assoc_opt "dangling.candidates" profile.Mdcc_obs.Prof.sn_counters)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "records walked (%d) only while the options were in flight" candidates)
+    true (candidates <= 10)
+
+let test_stale_txns_recover_in_key_order () =
+  (* One scan at the keys' master finds two stale single-key transactions
+     and starts their recoveries in descending key order — the order the
+     whole-record walk produced, which the index preserves. *)
+  let engine, cluster =
+    make_cluster ~learn_timeout:500.0 ~txn_timeout:800.0 ~dangling_scan_every:200.0
+      ~master_dc_of:(fun _ -> 0) ~items:5 ()
+  in
+  submit_then_kill engine cluster
+    [
+      ("stale-a", [ (item 1, Update.Delta [ ("stock", -1) ]) ]);
+      ("stale-b", [ (item 3, Update.Delta [ ("stock", -2) ]) ]);
+    ];
+  (* Past the master's timeout (1x), before the other replicas' (3x). *)
+  Engine.run ~until:1_500.0 engine;
+  let master = Cluster.master_node cluster (item 1) in
+  Alcotest.(check int) "one master for both keys" master (Cluster.master_node cluster (item 3));
+  let node =
+    List.find (fun n -> Storage_node.node_id n = master) (Cluster.storage_nodes cluster)
+  in
+  let starts = recovery_starts (fun () -> Storage_node.scan_dangling node) in
+  Alcotest.(check (list string)) "descending key order"
+    [ "txn recovery start stale-b (1 keys)"; "txn recovery start stale-a (1 keys)" ]
+    starts;
+  Alcotest.(check int) "a second scan starts nothing" 0
+    (List.length (recovery_starts (fun () -> Storage_node.scan_dangling node)));
+  Engine.run ~until:30_000.0 engine;
+  for dc = 0 to 4 do
+    Alcotest.(check int) "stale-a committed" 99 (stock_at cluster ~dc 1);
+    Alcotest.(check int) "stale-b committed" 98 (stock_at cluster ~dc 3)
+  done;
+  Alcotest.(check int) "no dangling options left" 0 (total_pending cluster)
 
 let test_collision_resolution_under_contention () =
   (* Many clients race on one record with physical updates: fast ballots
@@ -228,9 +324,15 @@ let suite =
     Alcotest.test_case "recovered DC heals on next update" `Quick
       test_recovered_dc_catches_up_on_next_update;
     Alcotest.test_case "dangling txn committed by recovery" `Quick
-      test_dangling_txn_committed_by_recovery;
+      (test_dangling_txn_committed_by_recovery ~items:5);
     Alcotest.test_case "dangling txn with unproposed key aborts" `Quick
       test_dangling_txn_never_proposed_key_aborts;
+    Alcotest.test_case "dangling txn recovered among 10,000 settled records" `Quick
+      (test_dangling_txn_committed_by_recovery ~items:10_000);
+    Alcotest.test_case "option decided before txn_timeout is never recovered" `Quick
+      test_decided_option_never_recovered;
+    Alcotest.test_case "two stale txns on different keys recover in key order" `Quick
+      test_stale_txns_recover_in_key_order;
     Alcotest.test_case "contention: collisions resolved, one winner" `Quick
       test_collision_resolution_under_contention;
     Alcotest.test_case "fast era resumes after gamma" `Quick test_fast_era_resumes_after_gamma;
