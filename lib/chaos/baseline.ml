@@ -93,24 +93,10 @@ let ok r =
   List.for_all (fun i -> List.mem i got) r.b_required
   && List.for_all (fun i -> List.mem i r.b_allowed) got
 
-(* Same fixture as Runner: a stock table with a non-negativity bound. *)
-let item i = Key.make ~table:"item" ~id:(string_of_int i)
-let item_row stock = Value.of_list [ ("stock", Value.Int stock) ]
-
-let stock_schema =
-  Schema.create
-    [
-      {
-        Schema.name = "item";
-        bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = None } ];
-        master_dc = 0;
-      };
-    ]
-
 let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 60_000.0) ~seed
     proto =
   let engine = Engine.create ~seed in
-  let h = proto.p_make ~engine ~schema:stock_schema in
+  let h = proto.p_make ~engine ~schema:Runner.stock_schema in
   let history = History.create () in
   let submitted = ref 0 and decided = ref [] in
   let submit ~dc txn =
@@ -123,7 +109,7 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
              { time = Engine.now engine; txid = txn.Txn.id; outcome; fast = false });
         decided := (txn, outcome) :: !decided)
   in
-  h.Harness.load (List.init items (fun i -> (item i, item_row stock)));
+  h.Harness.load (List.init items (fun i -> (Runner.item i, Runner.item_row stock)));
   let rng = Rng.create ((seed * 31) + 11) in
   let txid = ref 0 in
   let fresh () =
@@ -147,7 +133,8 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
       incr n;
       ignore
         (Engine.schedule_at engine ~at (fun () ->
-             submit ~dc (Txn.make ~id ~updates:[ (item i, Update.Delta [ ("stock", amount) ]) ])))
+             submit ~dc
+               (Txn.make ~id ~updates:[ (Runner.item i, Update.Delta [ ("stock", amount) ]) ])))
     end
     else begin
       let i = List.nth rmws (Rng.int rng (List.length rmws)) in
@@ -155,12 +142,12 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
       let dc2 = (dc1 + 1 + Rng.int rng (h.Harness.num_dcs - 1)) mod h.Harness.num_dcs in
       let submit_rmw dc id () =
         let vread, value =
-          match h.Harness.peek ~dc (item i) with
+          match h.Harness.peek ~dc (Runner.item i) with
           | Some (v, ver) ->
             (ver, Value.set v "stock" (Value.Int (max 0 (Value.get_int v "stock" - 1))))
-          | None -> (0, item_row 0)
+          | None -> (0, Runner.item_row 0)
         in
-        submit ~dc (Txn.make ~id ~updates:[ (item i, Update.Physical { vread; value }) ])
+        submit ~dc (Txn.make ~id ~updates:[ (Runner.item i, Update.Physical { vread; value }) ])
       in
       let id1 = fresh () and id2 = fresh () in
       n := !n + 2;
@@ -170,15 +157,15 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
   done;
   Engine.run ~until:(horizon +. drain) engine;
   (* ---- checks (mirrors Runner.run's post-conditions) ---- *)
-  let violations = ref (Checker.check ~bounds:(Schema.bounds_of stock_schema) history) in
+  let violations = ref (Checker.check ~bounds:(Schema.bounds_of Runner.stock_schema) history) in
   let add invariant detail = violations := !violations @ [ { Checker.invariant; detail } ] in
   let undecided = !submitted - List.length !decided in
   if undecided > 0 then
     add "liveness" (Printf.sprintf "%d of %d transactions never decided" undecided !submitted);
   for i = 0 to items - 1 do
-    let reference = h.Harness.peek ~dc:0 (item i) in
+    let reference = h.Harness.peek ~dc:0 (Runner.item i) in
     for dc = 1 to h.Harness.num_dcs - 1 do
-      let got = h.Harness.peek ~dc (item i) in
+      let got = h.Harness.peek ~dc (Runner.item i) in
       let equal =
         match (reference, got) with
         | None, None -> true
@@ -193,7 +180,7 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
   (* Delta accounting on keys only ever written commutatively. *)
   List.iter
     (fun i ->
-      let key = item i in
+      let key = Runner.item i in
       let committed_deltas =
         List.fold_left
           (fun acc (txn, outcome) ->

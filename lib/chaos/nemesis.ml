@@ -278,9 +278,7 @@ let partition_heal =
    multi-partition cluster ([sc_partitions] = 4); the runner widens the
    deployment accordingly. *)
 
-(* Replica of partition [p] in data center [dc] (the node-id layout the
-   cluster guarantees). *)
-let shard_replica cluster ~dc ~p = (dc * Cluster.num_partitions cluster) + p
+let shard_replica cluster ~dc ~p = Deployment.storage_node (Cluster.layout cluster) ~dc p
 
 let shard_replicas cluster p =
   List.init (Cluster.num_dcs cluster) (fun dc -> shard_replica cluster ~dc ~p)

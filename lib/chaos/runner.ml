@@ -311,37 +311,23 @@ let report_to_string ?(verbose = false) r =
            ]
          else []))
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_to_json r =
-  let strings l = String.concat "," (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) l) in
+  let strings l = String.concat "," (List.map (fun s -> Printf.sprintf "\"%s\"" (Json.escape s)) l) in
   Printf.sprintf
     "{\"seed\":%d,\"scenario\":\"%s\",\"submitted\":%d,\"committed\":%d,\"aborted\":%d,\
      \"undecided\":%d,\"events\":%d,\"schedule\":[%s],\"violations\":[%s],\"trace\":[%s],\
      \"metrics\":%s,\"spans\":%s}"
-    r.r_seed (json_escape r.r_scenario) r.r_submitted r.r_committed r.r_aborted r.r_undecided
+    r.r_seed (Json.escape r.r_scenario) r.r_submitted r.r_committed r.r_aborted r.r_undecided
     r.r_events
     (String.concat ","
        (List.map
-          (fun (t, f) -> Printf.sprintf "{\"at\":%.1f,\"fault\":\"%s\"}" t (json_escape (Nemesis.label f)))
+          (fun (t, f) -> Printf.sprintf "{\"at\":%.1f,\"fault\":\"%s\"}" t (Json.escape (Nemesis.label f)))
           r.r_schedule))
     (String.concat ","
        (List.map
           (fun (v : Checker.violation) ->
-            Printf.sprintf "{\"invariant\":\"%s\",\"detail\":\"%s\"}" (json_escape v.Checker.invariant)
-              (json_escape v.Checker.detail))
+            Printf.sprintf "{\"invariant\":\"%s\",\"detail\":\"%s\"}" (Json.escape v.Checker.invariant)
+              (Json.escape v.Checker.detail))
           r.r_violations))
     (strings r.r_trace)
     (Json.to_string (Obs.metrics_json r.r_obs))

@@ -13,6 +13,13 @@
 
 open Mdcc_core
 
+(** The stock fixture MDCC's and the baselines' chaos runs load: [item i]
+    rows of [item_row stock], bounded by [stock >= 0] in [stock_schema]. *)
+
+val item : int -> Mdcc_storage.Key.t
+val item_row : int -> Mdcc_storage.Value.t
+val stock_schema : Mdcc_storage.Schema.t
+
 type workload =
   | Deltas  (** commutative decrements against [stock >= 0] (demarcation) *)
   | Rmw  (** serializable read-modify-writes with read guards *)

@@ -1,28 +1,16 @@
-(** Cluster assembly: the paper's deployment in one value.
-
-    Builds the simulated deployment of Figure 1: [partitions] storage nodes
-    per data center (hash-partitioned keyspace — each node holds [1/partitions]
-    of the keys, and each data center holds one node of every partition),
-    plus [app_servers_per_dc] stateless app-servers running the DB library
-    (the {!Coordinator}).  A key's {e replica group} is its partition's
-    storage node in every data center — [num_dcs] nodes, not the whole
-    cluster; a transaction whose write-set hashes to several partitions
-    simply runs its per-record Paxos instances against several groups and
-    is still decided atomically by the coordinator (the learned-all rule of
-    §3.2.1 never looks at group boundaries).  The record's master is the
-    replica in [master_dc_of key] (uniformly hashed by default —
-    experiments override it to control master locality, Figure 7).
-
-    A deployment is described by a {!Spec.t} — build one with {!Spec.make}
-    or derive from {!Spec.default} with the [Spec.with_*] functional
-    updates, then hand it to {!create}. *)
+(** The simulated deployment of Figure 1: the {!Deployment} layout and
+    assembly on a simulated network, with app-server nodes appended to
+    every data center, the per-node traffic meter, and the fault
+    operations a chaos run or an experiment applies.  A transaction whose
+    write-set spans partitions runs against several replica groups and is
+    still decided atomically: the learned-all rule of §3.2.1 never looks at
+    group boundaries. *)
 
 open Mdcc_storage
 
 type t
 
-(** First-class deployment description: what used to be a tail of optional
-    arguments on [create].  Values are validated on construction
+(** First-class deployment description, validated on construction
     ([partitions >= 1], [app_servers_per_dc >= 1],
     [0 <= drop_probability <= 1]). *)
 module Spec : sig
@@ -32,7 +20,6 @@ module Spec : sig
             [partitions] storage nodes each *)
     partitions : int;  (** hash partitions of the keyspace per DC *)
     app_servers_per_dc : int;
-    jitter_sigma : float;  (** lognormal latency jitter of the sim network *)
     drop_probability : float;  (** iid message-drop rate of the sim network *)
     master_dc_of : (Key.t -> int) option;
         (** master-locality policy; [None] = uniform hash *)
@@ -42,25 +29,15 @@ module Spec : sig
     ?topology:Mdcc_sim.Topology.t ->
     ?partitions:int ->
     ?app_servers_per_dc:int ->
-    ?jitter_sigma:float ->
     ?drop_probability:float ->
     ?master_dc_of:(Key.t -> int) ->
     unit ->
     t
-  (** Smart constructor; defaults: 1 partition, 1 app-server per DC,
-      jitter 0.05, no drops, hashed masters, EC2-five topology. *)
+  (** Smart constructor; defaults: 1 partition, 1 app-server per DC, no
+      drops, hashed masters, EC2-five topology. *)
 
   val default : t
   (** [make ()] — the paper's five-DC single-partition deployment. *)
-
-  val with_topology : Mdcc_sim.Topology.t -> t -> t
-  val with_partitions : int -> t -> t
-  val with_app_servers : int -> t -> t
-  val with_jitter : float -> t -> t
-  val with_drop_probability : float -> t -> t
-  val with_master_dc_of : (Key.t -> int) -> t -> t
-
-  val partitions : t -> int
 end
 
 val create :
@@ -71,30 +48,23 @@ val create :
   schema:Schema.t ->
   unit ->
   t
-(** Builds the deployment [spec] describes.  [spec.topology], when given,
-    must contain exactly [spec.partitions] nodes per data center (the
-    storage nodes); app-server nodes are appended automatically.
-    [config.replication] must equal the number of data centers.  [ctx]
-    (default {!Ctx.default}) is threaded into every coordinator and storage
-    node: when its [history] is set they all record into it (chaos testing;
-    see {!Mdcc_chaos.Runner}), and its [obs] is fed per-node message/byte
-    counters through a network meter installed at create time.
-    [ctx.local_nodes] is overridden per coordinator with the storage nodes
-    of its data center, and every coordinator is wired a
-    {!Coordinator.snapshot_source} over its DC's partition stores (the
-    [`Snapshot] read fast path). *)
+(** [spec.topology], when given, must contain exactly [spec.partitions]
+    nodes per data center, and [config.replication] must equal the number
+    of data centers.  Every node gets [ctx] (default {!Ctx.default}):
+    when its [history] is set they all record into it (see
+    {!Mdcc_chaos.Runner}), and its [obs] receives the per-node traffic
+    counters. *)
 
 val engine : t -> Mdcc_sim.Engine.t
 val network : t -> Mdcc_sim.Network.t
 val topology : t -> Mdcc_sim.Topology.t
 val config : t -> Config.t
+val layout : t -> Deployment.layout
+
 val num_dcs : t -> int
 
 val num_partitions : t -> int
-(** Hash partitions of the keyspace ([spec.partitions]). *)
-
 val partition_of : t -> Key.t -> int
-(** The partition a key hashes to ([Key.hash key mod num_partitions]). *)
 
 val obs : t -> Mdcc_obs.Obs.t
 (** The observability handle every component of this cluster reports to. *)
@@ -108,31 +78,10 @@ val coordinators : t -> Coordinator.t list
 val storage_nodes : t -> Storage_node.t list
 
 val replicas : t -> Key.t -> int list
-(** Node ids of the key's replica group: the storage node holding the key's
-    partition in {e every} data center ([num_dcs] nodes — a 1/[partitions]
-    slice of the cluster, not all of it).  Two keys share a replica group
-    iff they hash to the same partition. *)
+(** {!Deployment.replicas}. *)
 
 val master_node : t -> Key.t -> int
-(** The key's master replica: the node of the key's partition in
-    [master_dc_of key]'s data center — always a member of
-    [replicas t key]. *)
-
-(** {2 Node layout}
-
-    The one definition of where a key lives, shared by every deployment
-    that runs these state machines (this cluster, the baselines' fabric
-    and the wire server), so all of them route a key to the same node
-    ids: storage node [dc * partitions + p] is data center [dc]'s replica
-    of hash partition [p]. *)
-
-val replicas_fn : dcs:int -> partitions:int -> Key.t -> int list
-(** {!replicas} without a cluster value. *)
-
-val default_master_dc : dcs:int -> Key.t -> int
-(** The master's data center when the spec sets no [master_dc_of]: a hash
-    of the key decorrelated from its partition, so masters spread
-    evenly. *)
+(** {!Deployment.master_of}, always a member of [replicas t key]. *)
 
 val load : t -> (Key.t * Value.t) list -> unit
 (** Install committed rows (version 1) on every replica — experiment

@@ -22,6 +22,10 @@ val to_string : t -> string
     non-finite floats render as [null] (JSON has no representation for
     them). *)
 
+val escape : string -> string
+(** The body of a JSON string literal for [s], escaped per RFC 8259
+    (without the surrounding quotes). *)
+
 val parse : string -> (t, string) result
 (** Parse a complete JSON document.  [Error msg] carries the offset and
     reason of the first syntax error; trailing garbage is an error.  Numbers

@@ -1,11 +1,12 @@
 (** Shared deployment scaffolding for the baseline protocols.
 
     Quorum writes, 2PC and Megastore* run on the same simulated topology as
-    MDCC: [partitions] storage nodes per data center plus app-server nodes.
-    This module owns the stores and node-id layout, and provides the local
-    read path (reads are identical across every protocol in the paper: they
-    go to the replica in the client's data center), so each baseline module
-    only implements its commit traffic. *)
+    MDCC: [partitions] storage nodes per data center plus app-server nodes,
+    with node ids and key placement from {!Mdcc_core.Deployment}.  This
+    module owns the stores and provides the local read path (reads are
+    identical across every protocol in the paper: they go to the replica in
+    the client's data center), so each baseline module only implements its
+    commit traffic. *)
 
 open Mdcc_storage
 
@@ -13,13 +14,13 @@ type t
 
 val create :
   engine:Mdcc_sim.Engine.t ->
-  ?topology:Mdcc_sim.Topology.t ->
   ?partitions:int ->
   ?app_servers_per_dc:int ->
-  ?jitter_sigma:float ->
   schema:Schema.t ->
   unit ->
   t
+(** The paper's five EC2 regions.  Raises {!Mdcc_util.Invariant.Violation}
+    unless [partitions] and [app_servers_per_dc] are [>= 1]. *)
 
 val engine : t -> Mdcc_sim.Engine.t
 val network : t -> Mdcc_sim.Network.t
@@ -32,6 +33,7 @@ val store_of : t -> int -> Store.t
 val storage_node_ids : t -> int list
 
 val replicas : t -> Key.t -> int list
+(** {!Mdcc_core.Deployment.replicas}. *)
 
 val app_node : t -> dc:int -> int
 (** Round-robins over the data center's app servers. *)

@@ -15,12 +15,10 @@ type t = {
 }
 
 let of_mdcc cluster ~name =
-  let next = Array.make (Cluster.num_dcs cluster) 0 in
+  let { Mdcc_core.Deployment.dcs; app_per_dc; _ } = Cluster.layout cluster in
+  let next = Array.make dcs 0 in
   let pick dc =
-    let coords =
-      List.length (Cluster.coordinators cluster) / Cluster.num_dcs cluster
-    in
-    let rank = next.(dc) mod coords in
+    let rank = next.(dc) mod app_per_dc in
     next.(dc) <- next.(dc) + 1;
     Cluster.coordinator cluster ~dc ~rank
   in

@@ -2,7 +2,7 @@ open Mdcc_storage
 module Loop = Mdcc_runtime_unix.Loop
 module Runtime = Mdcc_core.Runtime
 module Config = Mdcc_core.Config
-module Cluster = Mdcc_core.Cluster
+module Deployment = Mdcc_core.Deployment
 module Coordinator = Mdcc_core.Coordinator
 module Storage_node = Mdcc_core.Storage_node
 module Session = Mdcc_core.Session
@@ -71,61 +71,25 @@ let stats t () =
 
 let create ?(seed = 1) ?(nodes = 5) ?(partitions = 1) ?(table = "kv") ?(addr = "127.0.0.1")
     ?(port = 11311) () =
-  (* The same node-id layout the simulated cluster uses: storage node
-     [dc * partitions + p] is data center [dc]'s replica of hash partition
-     [p]; the coordinator (node id [nodes * partitions]) lives in DC 0 and
-     reads its partition stores locally. *)
-  let storage_n = nodes * partitions in
-  let lp =
-    Loop.create ~seed ~dc_of:(fun id -> if id < storage_n then id / partitions else 0) ()
-  in
-  let runtime = Loop.runtime lp in
+  (* One data center per replica, all in-process; the one app-server this
+     server serves from is data center 0's. *)
+  let layout = Deployment.layout ~dcs:nodes ~partitions ~app_per_dc:1 () in
   let config = Config.make ~replication:nodes () in
-  let schema = Mdcc_storage.Schema.create [ { name = table; bounds = []; master_dc = 0 } ] in
+  let lp = Loop.create ~seed ~dc_of:(Deployment.dc_of layout) () in
+  let runtime = Loop.runtime lp in
   let observ = Obs.create () in
-  let ctx = Ctx.make ~obs:observ ~local_nodes:(List.init partitions Fun.id) () in
-  (* Key routing: the simulated cluster's own layout functions. *)
-  let partition_of key = Key.hash key mod partitions in
-  let replicas = Cluster.replicas_fn ~dcs:nodes ~partitions in
-  let master_of key =
-    (Cluster.default_master_dc ~dcs:nodes key * partitions) + partition_of key
+  let deployment =
+    Deployment.create ~runtime ~layout ~config
+      ~schema:(Mdcc_storage.Schema.create [ { name = table; bounds = []; master_dc = 0 } ])
+      ~ctx:(Ctx.make ~obs:observ ())
   in
-  let storage =
-    List.init storage_n (fun i ->
-        Storage_node.create ~runtime ~config ~node_id:i ~schema ~replicas ~master_of ~ctx ())
-  in
-  List.iter Storage_node.start_maintenance storage;
-  (* Snapshot source: direct handles on DC 0's partition stores (they are
-     in-process), powering the wire protocol's [read <key> snapshot]. *)
-  let snapshot =
-    {
-      Coordinator.snap_read =
-        (fun key ->
-          Mdcc_storage.Store.read
-            (Storage_node.store (List.nth storage (partition_of key)))
-            key);
-      snap_scan =
-        (fun ~table ->
-          List.concat_map
-            (fun node -> Mdcc_storage.Store.live_rows (Storage_node.store node) ~table)
-            (List.filteri (fun i _ -> i < partitions) storage));
-    }
-  in
-  let coord =
-    Coordinator.create ~runtime ~config ~node_id:storage_n ~replicas ~master_of ~snapshot
-      ~ctx ()
-  in
+  Array.iter Storage_node.start_maintenance (Deployment.nodes deployment);
+  let coord = Deployment.coordinator deployment ~dc:0 ~rank:0 in
   Loop.set_meter lp
     {
       Loop.w_size = Messages.size_of;
-      w_on_send =
-        (fun ~src ~dst:_ ~bytes ->
-          Obs.incr observ (Printf.sprintf "net.sent.node%02d" src);
-          Obs.incr observ ~by:bytes (Printf.sprintf "net.sent_bytes.node%02d" src));
-      w_on_deliver =
-        (fun ~src:_ ~dst ~bytes ->
-          Obs.incr observ (Printf.sprintf "net.recv.node%02d" dst);
-          Obs.incr observ ~by:bytes (Printf.sprintf "net.recv_bytes.node%02d" dst));
+      w_on_send = Deployment.meter_send observ;
+      w_on_deliver = Deployment.meter_deliver observ;
     };
   let t =
     {
@@ -144,7 +108,8 @@ let create ?(seed = 1) ?(nodes = 5) ?(partitions = 1) ?(table = "kv") ?(addr = "
         let session = Session.create coord in
         let backend =
           Backend.of_session ~table:t.sv_table ~stats:(stats t)
-            ~partition_of:(fun id -> partition_of (Key.make ~table:t.sv_table ~id))
+            ~partition_of:(fun id ->
+              Deployment.partition_of layout (Key.make ~table:t.sv_table ~id))
             ~obs:observ ~next_txid:(next_txid t) session
         in
         let handler =

@@ -1,16 +1,18 @@
 (** One MDCC deployment behind one TCP listener.
 
-    {!create} assembles [nodes] storage nodes (one per simulated data
-    center — the wire deployment runs every replica in-process, the
-    multi-DC latency being the simulator's job) and one coordinator over a
-    {!Mdcc_runtime_unix.Loop}, then listens for wire-protocol clients.
+    {!create} runs {!Mdcc_core.Deployment.create}, the assembly the
+    simulated cluster runs, over a {!Mdcc_runtime_unix.Loop}: one data
+    center per replica, every node in-process (the multi-DC latency being
+    the simulator's job), one app-server per data center.  It then listens
+    for wire-protocol clients, served by data center 0's coordinator.
     Every connection gets its own {!Mdcc_core.Session} (session
     consistency is per-connection, exactly memcached's client contract)
     feeding a {!Handler} through a {!Backend}.
 
-    Inter-node traffic is metered with {!Mdcc_core.Messages.size_of} — the
-    same byte accounting the simulated cluster installs — into the server's
-    observability registry ([net.sent.*], [net.recv_bytes.*], …).
+    Inter-node traffic is metered with {!Mdcc_core.Messages.size_of} and
+    the deployment's meter callbacks, the same accounting the simulated
+    cluster installs, into the server's observability registry
+    ([net.sent.*], [net.recv_bytes.*], …).
 
     {!shutdown} is the graceful drain: stop accepting, let in-flight
     requests and transactions finish, flush reply queues, then hand
@@ -29,10 +31,11 @@ val create :
   t
 (** [nodes] (default 5, minimum 3) is the replication factor (simulated
     data centers); [partitions] (default 1) hash-partitions the keyspace —
-    the deployment runs [nodes * partitions] storage nodes laid out exactly
-    like the simulated cluster ([dc * partitions + p]), keys route to their
-    partition's replica group by the coordinator's hash, and [stats detail]
-    carries per-partition request counters.  [port] (default 11311) may be
+    the deployment runs [nodes * partitions] storage nodes with the
+    {!Mdcc_core.Deployment} layout, keys route to their partition's replica
+    group, and [stats detail] carries per-partition request counters.
+    Raises {!Mdcc_util.Invariant.Violation} before opening any descriptor
+    if [partitions < 1] or the replication factor is invalid.  [port] (default 11311) may be
     0 to bind an ephemeral port — read it back with {!port}.  The value
     table [table] (default ["kv"]) holds records shaped [{data; flags}]. *)
 

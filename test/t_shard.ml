@@ -7,6 +7,8 @@ open Mdcc_storage
 open Helpers
 module Engine = Mdcc_sim.Engine
 module Cluster = Mdcc_core.Cluster
+module Deployment = Mdcc_core.Deployment
+module Fabric = Mdcc_protocols.Fabric
 module Coordinator = Mdcc_core.Coordinator
 module History = Mdcc_core.History
 module Checker = Mdcc_chaos.Checker
@@ -24,15 +26,59 @@ let rejects f =
   | exception Mdcc_util.Invariant.Violation _ -> true
 
 let test_spec_constructor () =
-  Alcotest.(check int) "default is one partition" 1 Cluster.Spec.(partitions default);
-  Alcotest.(check int) "with_partitions" 4
-    Cluster.Spec.(partitions (with_partitions 4 default));
+  Alcotest.(check int) "default is one partition" 1 Cluster.Spec.default.partitions;
   Alcotest.(check bool) "partitions < 1 rejected" true
     (rejects (fun () -> Cluster.Spec.make ~partitions:0 ()));
   Alcotest.(check bool) "app_servers < 1 rejected" true
     (rejects (fun () -> Cluster.Spec.make ~app_servers_per_dc:0 ()));
   Alcotest.(check bool) "drop probability > 1 rejected" true
     (rejects (fun () -> Cluster.Spec.make ~drop_probability:1.5 ()))
+
+(* ---- Key placement, pinned to literal node ids ----
+
+   Every deployment (the simulated cluster, the baselines' fabric, the wire
+   server) must keep routing these keys to these nodes, so a faster key
+   representation (interned keys, an allocation-free master hash) has to
+   reproduce these literals exactly. *)
+
+let check_placement ~partitions ~parts ~masters ~groups =
+  let layout = Deployment.layout ~dcs:5 ~partitions ~app_per_dc:1 () in
+  let _, cluster = make_cluster ~partitions () in
+  let fabric =
+    Fabric.create ~engine:(Engine.create ~seed:1) ~partitions ~schema:stock_schema ()
+  in
+  List.iteri
+    (fun i (part, master) ->
+      let key = item i in
+      let what s = Printf.sprintf "%d partitions, item %d: %s" partitions i s in
+      Alcotest.(check int) (what "partition") part (Deployment.partition_of layout key);
+      Alcotest.(check (list int)) (what "replicas") groups.(part) (Deployment.replicas layout key);
+      Alcotest.(check int) (what "master") master (Deployment.master_of layout key);
+      Alcotest.(check (list int)) (what "Cluster.replicas") groups.(part)
+        (Cluster.replicas cluster key);
+      Alcotest.(check int) (what "Cluster.master_node") master (Cluster.master_node cluster key);
+      Alcotest.(check (list int)) (what "Fabric.replicas") groups.(part)
+        (Fabric.replicas fabric key))
+    (List.combine parts masters)
+
+let test_placement_pinned () =
+  check_placement ~partitions:1 ~parts:(List.init 16 (fun _ -> 0))
+    ~masters:[ 3; 3; 3; 4; 3; 3; 1; 2; 1; 3; 3; 0; 3; 0; 2; 1 ]
+    ~groups:[| [ 0; 1; 2; 3; 4 ] |];
+  check_placement ~partitions:4
+    ~parts:[ 0; 2; 3; 3; 0; 2; 0; 2; 0; 2; 3; 3; 0; 3; 1; 3 ]
+    ~masters:[ 12; 14; 15; 19; 12; 14; 4; 10; 4; 14; 15; 3; 12; 3; 9; 7 ]
+    ~groups:
+      [|
+        [ 0; 4; 8; 12; 16 ]; [ 1; 5; 9; 13; 17 ]; [ 2; 6; 10; 14; 18 ]; [ 3; 7; 11; 15; 19 ];
+      |];
+  Alcotest.(check bool) "layout: partitions < 1 rejected" true
+    (rejects (fun () -> Deployment.layout ~dcs:5 ~partitions:0 ~app_per_dc:1 ()));
+  Alcotest.(check bool) "layout: app_per_dc < 1 rejected" true
+    (rejects (fun () -> Deployment.layout ~dcs:5 ~partitions:1 ~app_per_dc:0 ()));
+  Alcotest.(check bool) "fabric: partitions < 1 rejected" true
+    (rejects (fun () ->
+         Fabric.create ~engine:(Engine.create ~seed:1) ~partitions:0 ~schema:stock_schema ()))
 
 (* Two pre-loaded items that hash to different partitions; their replica
    groups must be disjoint node sets for the cross-partition tests to mean
@@ -247,6 +293,7 @@ let test_effective_partitions () =
 let suite =
   [
     Alcotest.test_case "spec smart constructor" `Quick test_spec_constructor;
+    Alcotest.test_case "key placement (pinned node ids)" `Quick test_placement_pinned;
     Alcotest.test_case "cross-partition commit is atomic (pinned)" `Quick
       test_cross_partition_commit;
     Alcotest.test_case "cross-partition abort leaves no trace (pinned)" `Quick

@@ -655,6 +655,20 @@ let test_server_stats_registry () =
       ("timeout_recoveries", counter "timeout_recovery");
     ]
 
+(* An impossible layout is rejected before the server opens anything: no
+   wake-up pipe, no listening socket. *)
+let test_server_rejects_bad_layout () =
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+    else None
+  in
+  let before = open_fds () in
+  Alcotest.(check bool) "partitions = 0 rejected" true
+    (match Mdcc_wire.Server.create ~partitions:0 ~port:0 () with
+     | _ -> false
+     | exception Mdcc_util.Invariant.Violation _ -> true);
+  Alcotest.(check (option int)) "no descriptor opened" before (open_fds ())
+
 let suite =
   [
     Alcotest.test_case "timer wheel: firing order" `Quick test_wheel_order;
@@ -673,4 +687,6 @@ let suite =
     Alcotest.test_case "server_cli: SIGTERM graceful drain" `Quick test_server_sigterm;
     Alcotest.test_case "server_cli: live metrics over TCP" `Quick test_server_metrics;
     Alcotest.test_case "server: stats verb reads the registry" `Quick test_server_stats_registry;
+    Alcotest.test_case "server: impossible layout rejected at create" `Quick
+      test_server_rejects_bad_layout;
   ]
