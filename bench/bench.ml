@@ -8,8 +8,9 @@
    Sections (each a fixed workload; scales are constants, not flags):
    - events: event-queue push/pop and cancel churn, Engine.run dispatch
      and Network.send ping-pong, 300k ops each — the DES hot loop;
-   - micro:  four protocol-critical cases (event heap, store delta apply,
-     rstate demarcation, one dangling-transaction scan);
+   - micro:  five protocol-critical cases (event heap, store delta apply,
+     rstate demarcation, one dangling-transaction scan, one message through
+     the per-node byte meter);
    - sweep:  the full chaos scenario matrix x 50 seeds, sequentially and on
      4 domains, asserting byte-identical output, then both legs again
      under the per-phase profiler;
@@ -207,12 +208,26 @@ let dangling_scan () =
   assert (Storage_node.pending_options node = 1);
   fun () -> Storage_node.scan_dangling node
 
+(* One message through the per-node byte meter, after warm-up: its
+   handles are resolved, so a send plus a delivery allocates nothing. *)
+let meter () =
+  let obs = Mdcc_obs.Obs.create () in
+  let send = Mdcc_core.Deployment.meter_send obs in
+  let deliver = Mdcc_core.Deployment.meter_deliver obs in
+  let message () =
+    send ~src:3 ~dst:7 ~bytes:64;
+    deliver ~src:3 ~dst:7 ~bytes:64
+  in
+  message ();
+  message
+
 let micro () =
   [
     micro_case "event_heap" event_heap;
     micro_case "store_apply" store_apply;
     micro_case "rstate_demarcation" demarcation;
     micro_case "dangling_scan" (dangling_scan ());
+    micro_case "meter" (meter ());
   ]
 
 (* ---------------- sweep: the parallel chaos sweep ---------------- *)

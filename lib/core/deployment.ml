@@ -88,10 +88,17 @@ let load t rows =
 
 let peek t ~dc key = Store.read (Storage_node.store t.nodes.(local_replica t.layout ~dc key)) key
 
-let meter_send obs ~src ~dst:_ ~bytes =
-  Obs.incr obs (Printf.sprintf "net.sent.node%02d" src);
-  Obs.incr obs ~by:bytes (Printf.sprintf "net.sent_bytes.node%02d" src)
+(* Each node's counter handles are resolved on its first message. *)
+let meter_send obs =
+  let sent = Obs.counter_family obs (Printf.sprintf "net.sent.node%02d")
+  and sent_bytes = Obs.counter_family obs (Printf.sprintf "net.sent_bytes.node%02d") in
+  fun ~src ~dst:_ ~bytes ->
+    Obs.bump (sent src);
+    Obs.bump_by (sent_bytes src) bytes
 
-let meter_deliver obs ~src:_ ~dst ~bytes =
-  Obs.incr obs (Printf.sprintf "net.recv.node%02d" dst);
-  Obs.incr obs ~by:bytes (Printf.sprintf "net.recv_bytes.node%02d" dst)
+let meter_deliver obs =
+  let recv = Obs.counter_family obs (Printf.sprintf "net.recv.node%02d")
+  and recv_bytes = Obs.counter_family obs (Printf.sprintf "net.recv_bytes.node%02d") in
+  fun ~src:_ ~dst ~bytes ->
+    Obs.bump (recv dst);
+    Obs.bump_by (recv_bytes dst) bytes

@@ -65,6 +65,9 @@ val peek : t -> dc:int -> Key.t -> (Value.t * int) option
 val meter_send : Mdcc_obs.Obs.t -> src:int -> dst:int -> bytes:int -> unit
 (** With {!meter_deliver}, the per-node traffic counters ([net.sent.nodeNN],
     [net.sent_bytes.nodeNN], [net.recv.nodeNN], [net.recv_bytes.nodeNN]) a
-    runtime's meter hook calls next to {!Messages.size_of}. *)
+    runtime's meter hook calls next to {!Messages.size_of}.  Apply it to
+    [obs] once, when the meter is installed: the returned hook resolves each
+    node's counter handles on that node's first message and then bumps them
+    without hashing or allocating. *)
 
 val meter_deliver : Mdcc_obs.Obs.t -> src:int -> dst:int -> bytes:int -> unit

@@ -9,6 +9,18 @@ let create ?(spans = false) () =
 let registry t = t.registry
 let spans t = t.spans
 let incr t ?by name = Registry.incr t.registry ?by name
+let counter_handle t name = Registry.counter_handle t.registry name
+let bump = Registry.bump
+let bump_by = Registry.bump_by
+
+let counter_family t name_of =
+  let hs = ref [||] in
+  fun i ->
+    let n = Array.length !hs in
+    if i >= n then
+      hs := Array.append !hs (Array.init (i + 1 - n) (fun j -> counter_handle t (name_of (n + j))));
+    !hs.(i)
+
 let set_gauge t name v = Registry.set_gauge t.registry name v
 let add_gauge t name d = Registry.add_gauge t.registry name d
 let observe t name sample = Registry.observe t.registry name sample

@@ -17,7 +17,16 @@ val incr : t -> ?by:int -> string -> unit
 val set_gauge : t -> string -> int -> unit
 val add_gauge : t -> string -> int -> unit
 val observe : t -> string -> float -> unit
-(** Registry pass-throughs. *)
+val counter_handle : t -> string -> Registry.handle
+val bump : Registry.handle -> unit
+val bump_by : Registry.handle -> int -> unit
+(** Registry pass-throughs.  Hot paths bump handles resolved when their
+    component is created; [incr] by name is for cold paths. *)
+
+val counter_family : t -> (int -> string) -> int -> Registry.handle
+(** [counter_family t name_of] maps a small non-negative index (a node id,
+    a partition) to the handle for [name_of i], resolving each name once,
+    on its index's first use. *)
 
 val begin_txn : t -> txid:string -> at:float -> unit
 

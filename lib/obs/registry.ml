@@ -4,13 +4,17 @@ type t = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, int ref) Hashtbl.t;
   hists : (string, float list ref) Hashtbl.t;
+  mutable generation : int;  (* bumped by [clear], so held handles rebind *)
 }
+
+type handle = { reg : t; name : string; mutable cell : int ref; mutable bound : int }
 
 let create () =
   {
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     hists = Hashtbl.create 16;
+    generation = 0;
   }
 
 (* Exception-style lookup: [find_opt] allocates a [Some] per call, and
@@ -24,9 +28,20 @@ let cell tbl name =
       Hashtbl.replace tbl name r;
       r
 
-let incr t ?(by = 1) name =
-  let r = cell t.counters name in
-  r := !r + by
+let add r by = r := !r + by
+let incr t ?(by = 1) name = add (cell t.counters name) by
+let counter_handle reg name = { reg; name; cell = ref 0; bound = -1 }
+
+(* The cell is looked up on the first bump after creation or [clear], so an
+   unbumped handle leaves no key behind and a cleared one counts from 0. *)
+let bump_by h by =
+  if h.bound <> h.reg.generation then begin
+    h.cell <- cell h.reg.counters h.name;
+    h.bound <- h.reg.generation
+  end;
+  add h.cell by
+
+let bump h = bump_by h 1
 
 let set_gauge t name v = cell t.gauges name := v
 
@@ -93,6 +108,7 @@ let merge ~into src =
     (sorted src.hists)
 
 let clear t =
+  t.generation <- t.generation + 1;
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;
   Hashtbl.reset t.hists

@@ -9,7 +9,26 @@ type t
 val create : unit -> t
 
 val incr : t -> ?by:int -> string -> unit
-(** Add [by] (default 1) to a counter, creating it at zero first. *)
+(** Add [by] (default 1) to a counter, creating it at zero first: a name
+    lookup, then the same add on the same cell as {!bump_by}.  For cold paths;
+    hot paths hold a {!handle}. *)
+
+type handle
+(** A counter name resolved once: bumping it hashes nothing and allocates
+    nothing. *)
+
+val counter_handle : t -> string -> handle
+(** Creates no counter: the entry appears on the handle's first {!bump}, so
+    key sets and every rendering are the same as with {!incr}.  The handle
+    stays valid across {!clear}, counting into the fresh table from 0. *)
+
+val bump : handle -> unit
+(** Add 1 through a handle. *)
+
+val bump_by : handle -> int -> unit
+(** Add [by] through a handle.  A plain argument, not [?by]: an optional
+    argument is boxed at every call that crosses an opaque module
+    boundary. *)
 
 val set_gauge : t -> string -> int -> unit
 

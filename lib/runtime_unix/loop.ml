@@ -97,16 +97,18 @@ let deliver t ~src ~dst payload =
   (* Capture the sender's causal context now; restore it around the
      destination handler — the socket-runtime twin of Network.send. *)
   let ctx = Net.trace_context () in
-  (match t.meter with
-  | Some m -> m.w_on_send ~src ~dst ~bytes:(m.w_size payload)
-  | None -> ());
+  (* Sized once, at send, and carried to delivery, as in Network.send. *)
+  let bytes = match t.meter with Some m -> m.w_size payload | None -> 0 in
+  (match t.meter with Some m -> m.w_on_send ~src ~dst ~bytes | None -> ());
   Queue.add
     (fun () ->
       match Hashtbl.find_opt t.handlers dst with
       | None -> ()
       | Some handler ->
         (match t.meter with
-        | Some m -> m.w_on_deliver ~src ~dst ~bytes:(m.w_size payload)
+        | Some m ->
+          (* A meter installed after the send was not sized. *)
+          m.w_on_deliver ~src ~dst ~bytes:(if bytes > 0 then bytes else m.w_size payload)
         | None -> ());
         Net.with_trace_context ctx (fun () -> handler ~src payload))
     t.run_q

@@ -42,13 +42,16 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition
      [partition_of] is the server's key hash — the same routing the
      coordinator applies — so [stats detail] shows where the keyspace load
      actually lands ([wire.partition.p00.reads], [.writes], ...). *)
-  let tally verb id =
+  let tally =
     match (partition_of, obs) with
-    | Some pf, Some o -> Obs.incr o (Printf.sprintf "wire.partition.p%02d.%s" (pf id) verb)
-    | _, _ -> ()
+    | Some pf, Some o ->
+      let reads = Obs.counter_family o (Printf.sprintf "wire.partition.p%02d.reads")
+      and writes = Obs.counter_family o (Printf.sprintf "wire.partition.p%02d.writes") in
+      fun verb id -> Obs.bump ((match verb with `Reads -> reads | `Writes -> writes) (pf id))
+    | _, _ -> fun _ _ -> ()
   in
   let get id level k =
-    tally "reads" id;
+    tally `Reads id;
     Session.read ~level session (key_of id) (fun found -> k (Option.map (decode id) found))
   in
   let submit1 key update k =
@@ -57,7 +60,7 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition
   (* Read-modify-write with bounded conflict retries: each retry re-reads at
      [`Session] level, so it observes the version that beat it. *)
   let set ~key ~flags ~data k =
-    tally "writes" key;
+    tally `Writes key;
     let value = encode ~flags ~data in
     let rec attempt budget =
       Session.read ~level:`Session session (key_of key) (fun cur ->
@@ -76,7 +79,7 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition
     attempt retries
   in
   let cas ~key ~flags ~data ~cas k =
-    tally "writes" key;
+    tally `Writes key;
     Session.read ~level:`Session session (key_of key) (function
       | None -> k Not_found
       | Some (_, version) when version <> cas -> k Exists
@@ -89,7 +92,7 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition
           | Txn.Aborted reason -> k (Server_busy (reason_of reason))))
   in
   let delete key k =
-    tally "writes" key;
+    tally `Writes key;
     let rec attempt budget =
       Session.read ~level:`Session session (key_of key) (function
         | None -> k Not_found
@@ -108,7 +111,7 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition
   let commit ops k =
     List.iter
       (fun op ->
-        tally "writes" (match op with T_set { key; _ } -> key | T_delete key -> key))
+        tally `Writes (match op with T_set { key; _ } -> key | T_delete key -> key))
       ops;
     let module S = Set.Make (String) in
     let _, deduped =

@@ -2,12 +2,56 @@ module Obs = Mdcc_obs.Obs
 module Registry = Mdcc_obs.Registry
 module Prometheus = Mdcc_obs.Prometheus
 
+type h = Registry.handle
+
+(* Per-verb request counters, named so the live [stats] command can map
+   them onto memcached's cmd_* / *_hits / *_misses fields. *)
+let verbs =
+  [ "get"; "set"; "cas"; "delete"; "read"; "txn"; "commit"; "abort"; "stats"; "metrics";
+    "version"; "quit" ]
+
+let verb_index = function
+  | Protocol.Get _ -> 0
+  | Set _ -> 1
+  | Cas _ -> 2
+  | Delete _ -> 3
+  | Read _ -> 4
+  | Txn -> 5
+  | Commit -> 6
+  | Abort -> 7
+  | Stats | Stats_detail -> 8
+  | Metrics | Http_get _ -> 9
+  | Version -> 10
+  | Quit -> 11
+
+(* Every counter a request bumps, resolved when the handler is created;
+   each field is its counter's name after "wire.". *)
+type counters = {
+  cmd : h array;  (* by [verb_index] *)
+  get_hits : h; get_misses : h; cas_hits : h; cas_badval : h; cas_misses : h;
+  delete_hits : h; delete_misses : h; commit_ok : h; commit_aborted : h;
+  parser_errors : h; parser_resyncs : h; bytes_read : h; bytes_written : h;
+}
+
+let counters obs =
+  let h name = Obs.counter_handle obs ("wire." ^ name) in
+  {
+    cmd = Array.of_list (List.map (fun v -> h ("cmd." ^ v)) verbs);
+    get_hits = h "get_hits"; get_misses = h "get_misses"; cas_hits = h "cas_hits";
+    cas_badval = h "cas_badval"; cas_misses = h "cas_misses"; delete_hits = h "delete_hits";
+    delete_misses = h "delete_misses"; commit_ok = h "commit_ok";
+    commit_aborted = h "commit_aborted"; parser_errors = h "parser_errors";
+    parser_resyncs = h "parser_resyncs"; bytes_read = h "bytes_read";
+    bytes_written = h "bytes_written";
+  }
+
 type t = {
   parser : Parser.t;
   backend : Backend.t;
   write : string -> unit;
   close : unit -> unit;
   obs : Obs.t;
+  c : counters;
   out : Buffer.t;  (* replies of the current pump, flushed as one write *)
   mutable busy : bool;  (* an async operation owns the connection *)
   mutable txn : Backend.txn_op list option;  (* buffered ops, newest first *)
@@ -16,12 +60,14 @@ type t = {
 }
 
 let create ~backend ~write ~close ?obs () =
+  let obs = match obs with Some o -> o | None -> Obs.ambient () in
   {
     parser = Parser.create ();
     backend;
     write;
     close;
-    obs = (match obs with Some o -> o | None -> Obs.ambient ());
+    obs;
+    c = counters obs;
     out = Buffer.create 256;
     busy = false;
     txn = None;
@@ -37,7 +83,7 @@ let flush t =
   if Buffer.length t.out > 0 then begin
     let s = Buffer.contents t.out in
     Buffer.clear t.out;
-    Obs.incr t.obs ~by:(String.length s) "wire.bytes_written";
+    Obs.bump_by t.c.bytes_written (String.length s);
     t.write s
   end
 
@@ -56,42 +102,24 @@ let delete_reply = function
   | Backend.Not_stored | Backend.Exists -> Protocol.server_error "unexpected delete status"
   | Backend.Server_busy msg -> Protocol.server_error msg
 
-(* Per-verb request counters, named so the live [stats] command can map
-   them onto memcached's cmd_* / *_hits / *_misses fields. *)
-let verb_counter = function
-  | Protocol.Get _ -> "wire.cmd.get"
-  | Set _ -> "wire.cmd.set"
-  | Cas _ -> "wire.cmd.cas"
-  | Delete _ -> "wire.cmd.delete"
-  | Read _ -> "wire.cmd.read"
-  | Txn -> "wire.cmd.txn"
-  | Commit -> "wire.cmd.commit"
-  | Abort -> "wire.cmd.abort"
-  | Stats -> "wire.cmd.stats"
-  | Stats_detail -> "wire.cmd.stats"
-  | Metrics -> "wire.cmd.metrics"
-  | Http_get _ -> "wire.cmd.metrics"
-  | Version -> "wire.cmd.version"
-  | Quit -> "wire.cmd.quit"
-
-let count_hit t prefix = function
-  | Some _ -> Obs.incr t.obs (prefix ^ "_hits")
-  | None -> Obs.incr t.obs (prefix ^ "_misses")
+let count_hit t = function
+  | Some _ -> Obs.bump t.c.get_hits
+  | None -> Obs.bump t.c.get_misses
 
 let rec pump t =
   if (not t.busy) && not t.closed then
     match Parser.next t.parser with
     | None -> flush t
     | Some Parser.Junk ->
-      Obs.incr t.obs "wire.parser_errors";
+      Obs.bump t.c.parser_errors;
       emit t Protocol.error;
       pump t
     | Some (Parser.Bad msg) ->
-      Obs.incr t.obs "wire.parser_errors";
+      Obs.bump t.c.parser_errors;
       emit t (Protocol.client_error msg);
       pump t
     | Some (Parser.Req r) ->
-      Obs.incr t.obs (verb_counter r);
+      Obs.bump t.c.cmd.(verb_index r);
       request t r
 
 and finish t =
@@ -122,10 +150,10 @@ and request t r =
     t.backend.b_commit (List.rev ops) (fun res ->
         (match res with
         | Ok () ->
-          Obs.incr t.obs "wire.commit_ok";
+          Obs.bump t.c.commit_ok;
           emit t Protocol.committed
         | Error reason ->
-          Obs.incr t.obs "wire.commit_aborted";
+          Obs.bump t.c.commit_aborted;
           emit t (Protocol.aborted reason));
         finish t)
   | Some _, Abort ->
@@ -148,7 +176,7 @@ and request t r =
         finish t
       | key :: rest ->
         t.backend.b_get key `Session (fun hit ->
-            count_hit t "wire.get" hit;
+            count_hit t hit;
             (match hit with
             | Some h -> Protocol.render_hit t.out ~with_cas h
             | None -> ());
@@ -158,7 +186,7 @@ and request t r =
   | _, Read { key; level } ->
     t.busy <- true;
     t.backend.b_get key level (fun hit ->
-        count_hit t "wire.get" hit;
+        count_hit t hit;
         (match hit with
         | Some h -> Protocol.render_hit t.out ~with_cas:true h
         | None -> ());
@@ -174,9 +202,9 @@ and request t r =
     t.busy <- true;
     t.backend.b_cas ~key:s.s_key ~flags:s.s_flags ~data:s.s_data ~cas (fun st ->
         (match st with
-        | Backend.Stored -> Obs.incr t.obs "wire.cas_hits"
-        | Backend.Exists -> Obs.incr t.obs "wire.cas_badval"
-        | Backend.Not_found -> Obs.incr t.obs "wire.cas_misses"
+        | Backend.Stored -> Obs.bump t.c.cas_hits
+        | Backend.Exists -> Obs.bump t.c.cas_badval
+        | Backend.Not_found -> Obs.bump t.c.cas_misses
         | Backend.Not_stored | Backend.Server_busy _ -> ());
         if not s.s_noreply then emit t (store_reply st);
         finish t)
@@ -184,8 +212,8 @@ and request t r =
     t.busy <- true;
     t.backend.b_delete key (fun st ->
         (match st with
-        | Backend.Stored -> Obs.incr t.obs "wire.delete_hits"
-        | Backend.Not_found -> Obs.incr t.obs "wire.delete_misses"
+        | Backend.Stored -> Obs.bump t.c.delete_hits
+        | Backend.Not_found -> Obs.bump t.c.delete_misses
         | Backend.Not_stored | Backend.Exists | Backend.Server_busy _ -> ());
         if not noreply then emit t (delete_reply st);
         finish t)
@@ -242,11 +270,11 @@ and request t r =
 
 let on_data t buf off len =
   if not t.closed then begin
-    Obs.incr t.obs ~by:len "wire.bytes_read";
+    Obs.bump_by t.c.bytes_read len;
     Parser.feed t.parser buf off len;
     let r = Parser.resyncs t.parser in
     if r > t.seen_resyncs then begin
-      Obs.incr t.obs ~by:(r - t.seen_resyncs) "wire.parser_resyncs";
+      Obs.bump_by t.c.parser_resyncs (r - t.seen_resyncs);
       t.seen_resyncs <- r
     end;
     pump t

@@ -166,6 +166,78 @@ let test_registry_merge_gauge_order () =
     (Json.to_string (Registry.to_json ab))
     (Json.to_string (Registry.to_json again))
 
+(* Counter handles: a name resolved once must count exactly as [incr] by
+   name does, leave no key until bumped, and survive [clear]. *)
+
+let registry_json r = Json.to_string (Registry.to_json r)
+
+let test_handle_unbumped_no_key () =
+  let r = Registry.create () in
+  let _unused = Registry.counter_handle r "never" in
+  Registry.incr r "other";
+  Alcotest.(check (list string)) "no key for an unbumped handle" [ "other" ]
+    (List.map fst (Registry.counter_bindings r));
+  Alcotest.(check string) "json as without the handle"
+    {|{"counters":{"other":1},"gauges":{},"histograms":{}}|} (registry_json r)
+
+(* The same bumps, once by name and once by handle. *)
+let bump_sequence ~by_handle =
+  let r = Registry.create () in
+  let h = Registry.counter_handle r in
+  let a = h "a" and b = h "b.bytes" in
+  List.iter
+    (fun (name, by) ->
+      if by_handle then Registry.bump_by (if name = "a" then a else b) by
+      else Registry.incr r ~by name)
+    [ ("b.bytes", 64); ("a", 1); ("a", 1); ("b.bytes", 7) ];
+  if by_handle then Registry.bump a else Registry.incr r "a";
+  Registry.set_gauge r "g" 2;
+  r
+
+let test_handle_same_json_as_name () =
+  let by_name = bump_sequence ~by_handle:false and by_handle = bump_sequence ~by_handle:true in
+  Alcotest.(check string) "byte-identical to_json" (registry_json by_name) (registry_json by_handle);
+  Alcotest.(check int) "handle count" 3 (Registry.counter by_handle "a");
+  Alcotest.(check int) "handle bytes" 71 (Registry.counter by_handle "b.bytes")
+
+let test_handle_across_clear () =
+  let r = Registry.create () in
+  let h = Registry.counter_handle r "c" in
+  Registry.bump_by h 5;
+  Registry.clear r;
+  Alcotest.(check int) "cleared" 0 (Registry.counter r "c");
+  Alcotest.(check (list string)) "no key until the next bump" []
+    (List.map fst (Registry.counter_bindings r));
+  Registry.bump h;
+  Alcotest.(check int) "counts from 0 in the fresh table" 1 (Registry.counter r "c");
+  Registry.incr r "c";
+  Registry.bump h;
+  Alcotest.(check int) "one cell for name and handle" 3 (Registry.counter r "c");
+  (* The ambient handle: [reset_ambient] clears the registry under a held
+     handle, which must then count into the fresh registry. *)
+  Obs.reset_ambient ();
+  let amb = Obs.ambient () in
+  let ah = Obs.counter_handle amb "handle.test" in
+  Obs.bump_by ah 9;
+  Obs.reset_ambient ();
+  Obs.bump ah;
+  Alcotest.(check int) "ambient handle after reset" 1
+    (Registry.counter (Obs.registry amb) "handle.test");
+  Obs.reset_ambient ()
+
+let test_handle_merge () =
+  let merged src =
+    let into = Registry.create () in
+    Registry.incr into ~by:10 "a";
+    let h = Registry.counter_handle into "a" in
+    Registry.merge ~into src;
+    Registry.bump h;
+    registry_json into
+  in
+  Alcotest.(check string) "merge of handle- and name-bumped sources"
+    (merged (bump_sequence ~by_handle:false))
+    (merged (bump_sequence ~by_handle:true))
+
 (* ------------------------------------------------------------------ *)
 (* Prometheus exposition                                               *)
 (* ------------------------------------------------------------------ *)
@@ -490,6 +562,10 @@ let suite =
     Alcotest.test_case "registry json shape" `Quick test_registry_json_shape;
     Alcotest.test_case "registry merge: empty-histogram union" `Quick test_registry_merge_empty_hist;
     Alcotest.test_case "registry merge: gauge task order" `Quick test_registry_merge_gauge_order;
+    Alcotest.test_case "handle: unbumped leaves no key" `Quick test_handle_unbumped_no_key;
+    Alcotest.test_case "handle: same json as by name" `Quick test_handle_same_json_as_name;
+    Alcotest.test_case "handle: valid across clear" `Quick test_handle_across_clear;
+    Alcotest.test_case "handle: merge" `Quick test_handle_merge;
     Alcotest.test_case "prometheus exposition" `Quick test_prometheus_render;
     Alcotest.test_case "prometheus escaping" `Quick test_prometheus_escaping;
     Alcotest.test_case "profiler span hierarchy" `Quick test_prof_spans;

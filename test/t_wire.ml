@@ -371,10 +371,13 @@ let test_loop_meter_size_of () =
   let rt = Loop.runtime lp in
   let delivered = ref 0 in
   Runtime.register rt 1 (fun ~src:_ _payload -> incr delivered);
-  let sent_bytes = ref 0 and recv_bytes = ref 0 in
+  let sent_bytes = ref 0 and recv_bytes = ref 0 and sized = ref 0 in
   Loop.set_meter lp
     {
-      Loop.w_size = Messages.size_of;
+      Loop.w_size =
+        (fun p ->
+          incr sized;
+          Messages.size_of p);
       w_on_send = (fun ~src:_ ~dst:_ ~bytes -> sent_bytes := !sent_bytes + bytes);
       w_on_deliver = (fun ~src:_ ~dst:_ ~bytes -> recv_bytes := !recv_bytes + bytes);
     };
@@ -390,7 +393,8 @@ let test_loop_meter_size_of () =
   (* framing charges Messages.size_of — the single source of truth shared
      with the simulated network's meter *)
   Alcotest.(check int) "sent bytes = size_of" expect !sent_bytes;
-  Alcotest.(check int) "delivered bytes = size_of" expect !recv_bytes
+  Alcotest.(check int) "delivered bytes = size_of" expect !recv_bytes;
+  Alcotest.(check int) "sized once per delivered message" 1 !sized
 
 (* ---------------- server binary: SIGTERM graceful drain ---------------- *)
 
